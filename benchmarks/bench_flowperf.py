@@ -23,7 +23,13 @@ warm-up — unwarmed first reps used to make small circuits report
 nonsense speedups like 0.96x on cmb) and report the **minimum** of the
 timed reps.  The cached and uncached flows are asserted bit-identical
 (same ``summary()``), so the speedup is pure reuse, never a change in
-what gets computed.
+what gets computed.  ``pass_seconds`` is the per-pass breakdown of the
+fastest *uncached* rep, i.e. where the cold time goes.
+
+``meta.calibration_seconds`` is the minimum time of a fixed pure-Python
+kernel (``benchmarks/_calibration.py``, no ``repro`` import) taken
+around the circuit runs: the machine-speed reference
+``check_flow_regression.py`` scales its allowances by.
 
 Run as a script (no PYTHONPATH needed)::
 
@@ -46,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from _calibration import calibrate
 from repro.bdd import bdd_engine
 from repro.bench.suite import TABLE2_SPECS, load_benchmark, tiny_benchmark
 from repro.ced.flow import run_ced_flow
@@ -56,21 +63,26 @@ DEFAULT_OUT = ROOT / "BENCH_flow.json"
 #: Flow parameters shared by all modes (the identity-check settings).
 FLOW_KW = dict(reliability_words=2, coverage_words=2, seed=2008)
 
+#: Kernel reps per calibration; the kernel is timed before the first
+#: circuit and after every circuit, and the minimum is recorded.
+CALIBRATION_REPS = 20
+
 
 def _load(name: str):
     return tiny_benchmark() if name == "tiny" else load_benchmark(name)
 
 
 def _time_reps(run_once, reps: int, warmup: int):
-    """min-of-``reps`` wall clock after ``warmup`` throwaway reps."""
-    times, flow = [], None
+    """min-of-``reps`` wall clock after ``warmup`` throwaway reps, and
+    the flow of the fastest timed rep."""
+    best, best_flow = None, None
     for i in range(warmup + max(1, reps)):
         t0 = time.perf_counter()
         flow = run_once()
         elapsed = time.perf_counter() - t0
-        if i >= warmup:
-            times.append(elapsed)
-    return min(times), flow
+        if i >= warmup and (best is None or elapsed < best):
+            best, best_flow = elapsed, flow
+    return best, best_flow
 
 
 def _run_uncached(name: str, reps: int, warmup: int):
@@ -147,7 +159,7 @@ def bench_circuit(name: str, reps: int, warmup: int) -> dict:
         "cache": _cache_rates(flow_serve),
         "pass_seconds": {
             rec.name: round(rec.wall_time_s, 3)
-            for rec in flow_on.trace.passes},
+            for rec in flow_off.trace.passes},
     }
 
 
@@ -173,6 +185,7 @@ def main(argv=None) -> int:
         names = ["tiny"] + sorted(
             TABLE2_SPECS, key=lambda n: TABLE2_SPECS[n].target_gates)
 
+    calibration = calibrate(CALIBRATION_REPS)
     report = {
         "meta": {
             "python": platform.python_version(),
@@ -195,6 +208,7 @@ def main(argv=None) -> int:
     for name in names:
         entry = bench_circuit(name, args.reps, args.warmup)
         report["circuits"][name] = entry
+        calibration = min(calibration, calibrate(CALIBRATION_REPS))
         proofs = entry["cache"].get("proofs", {})
         print(f"{name:8s} {entry['gates']:5d} gates  "
               f"{entry['uncached_seconds']:8.2f}s -> "
@@ -205,6 +219,7 @@ def main(argv=None) -> int:
               f"{proofs.get('hits', 0) + proofs.get('misses', 0)}, "
               f"static {entry['static_discharge']['rate']:.0%})")
 
+    report["meta"]["calibration_seconds"] = round(calibration, 5)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True)
                         + "\n")
     print(f"wrote {args.out}")

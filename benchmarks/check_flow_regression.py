@@ -1,16 +1,19 @@
 """Perf-regression gate over BENCH_flow.json.
 
-Re-times the warm (cached) flow for the gate circuits on the current
-machine and fails if any regressed more than ``--tolerance`` (default
-20%) against the committed baseline.  Raw seconds are not comparable
-across machines, so the allowance is scaled by a machine-speed factor
-measured from the *uncached* runs::
+Re-times the gate circuits on the current machine and fails if the warm
+(cached) or the cold (uncached) flow regressed more than ``--tolerance``
+(default 20%) against the committed baseline.  Raw seconds are not
+comparable across machines, so both allowances are scaled by the ratio
+of the two runs' ``meta.calibration_seconds`` (a fixed pure-Python
+kernel that does not import ``repro``; see ``_calibration.py``)::
 
-    allowed = baseline_cached * (fresh_uncached / baseline_uncached)
-                              * (1 + tolerance)
+    scale   = fresh_calibration / baseline_calibration
+    allowed = baseline_seconds * scale * (1 + tolerance)
 
 A machine twice as slow as the baseline box gets twice the budget; a
-genuinely regressed warm path fails on both.
+regressed warm or cold path fails on both.  The scale never depends on
+a flow time, so a slower (or faster) cold path cannot move either
+allowance.
 
 The gate also enforces a *static-discharge coverage floor* on the
 fresh uncached run (see ``MIN_STATIC_DISCHARGE``): the static rung of
@@ -34,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "BENCH_flow.json"
 
-#: Circuits the gate watches (the acceptance-critical warm paths).
+#: Circuits the gate watches (warm and cold).
 GATE_CIRCUITS = ("i10",)
 
 #: Minimum fraction of PO implication checks the static-discharge rung
@@ -45,9 +48,28 @@ GATE_CIRCUITS = ("i10",)
 MIN_STATIC_DISCHARGE = {"i10": 0.15}
 
 
+#: The timed modes the gate compares: report key -> label.
+GATED_TIMES = {"cached_seconds": "cached", "uncached_seconds": "uncached"}
+
+
+def machine_scale(baseline: dict, fresh: dict) -> float | None:
+    """Fresh/baseline calibration-kernel ratio, or None if either run
+    predates the calibration record."""
+    base = baseline.get("meta", {}).get("calibration_seconds")
+    now = fresh.get("meta", {}).get("calibration_seconds")
+    if not base or not now:
+        return None
+    return now / base
+
+
 def check(baseline: dict, fresh: dict, tolerance: float,
           circuits=GATE_CIRCUITS) -> list[str]:
     """Return a list of failure messages (empty = gate passes)."""
+    scale = machine_scale(baseline, fresh)
+    if scale is None:
+        return ["meta.calibration_seconds missing from the baseline or "
+                "the fresh report (regenerate with current "
+                "bench_flowperf.py)"]
     failures = []
     for name in circuits:
         base = baseline["circuits"].get(name)
@@ -58,14 +80,14 @@ def check(baseline: dict, fresh: dict, tolerance: float,
         if now is None:
             failures.append(f"{name}: missing from fresh report")
             continue
-        scale = now["uncached_seconds"] / base["uncached_seconds"]
-        allowed = base["cached_seconds"] * scale * (1.0 + tolerance)
-        if now["cached_seconds"] > allowed:
-            failures.append(
-                f"{name}: cached {now['cached_seconds']:.3f}s exceeds "
-                f"allowed {allowed:.3f}s (baseline "
-                f"{base['cached_seconds']:.3f}s, machine scale "
-                f"x{scale:.2f}, tolerance {tolerance:.0%})")
+        for key, label in GATED_TIMES.items():
+            allowed = base[key] * scale * (1.0 + tolerance)
+            if now[key] > allowed:
+                failures.append(
+                    f"{name}: {label} {now[key]:.3f}s exceeds "
+                    f"allowed {allowed:.3f}s (baseline "
+                    f"{base[key]:.3f}s, machine scale "
+                    f"x{scale:.2f}, tolerance {tolerance:.0%})")
         floor = MIN_STATIC_DISCHARGE.get(name)
         if floor is not None:
             static = now.get("static_discharge")

@@ -49,6 +49,9 @@ class NetworkAnalyses:
         self.version = network.version
         self._engine = FixpointEngine()
         self._results: dict[str, FixpointResult] = {}
+        #: ``(constants result, its proven-constant subset)``.
+        self._constants: tuple[FixpointResult, dict[str, int]] | None \
+            = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -105,8 +108,17 @@ class NetworkAnalyses:
 
     @property
     def constants(self) -> dict[str, int]:
-        """Signals proven constant, with their values."""
-        return constant_signals(self.constant_values)
+        """Signals proven constant, with their values.
+
+        Filtered once per solved constants result (a refresh produces a
+        new result object), so callers must treat it as read-only.
+        """
+        result = self._solve("constants")
+        cached = self._constants
+        if cached is None or cached[0] is not result:
+            cached = self._constants = (
+                result, constant_signals(result.values))
+        return cached[1]
 
     @property
     def unateness(self) -> dict[str, object]:

@@ -20,7 +20,7 @@ Domains:
   assumption, unlike the simulation estimate it brackets).
 * :class:`StructuralHashAnalysis` — canonical cone hashes (cut-based
   redundancy detection); equal hashes are confirmed exactly with
-  :func:`cones_structurally_equal` before anything acts on them.
+  :class:`ConeMatcher` before anything acts on them.
 * :class:`ObservabilityAnalysis` — backward PO-reachability masks
   blocked by constant readers and unread fanin positions; a zero mask
   on a PO-reaching signal is an ODC proof (dead cone).
@@ -223,7 +223,7 @@ class StructuralHashAnalysis(DataflowAnalysis):
     """Canonical cone digests: equal digests mean (up to hash
     collision) byte-identical cone structure over identically named
     PIs.  Collision paranoia is handled by the exact confirmation in
-    :func:`cones_structurally_equal` — nothing trusts the hash alone.
+    :class:`ConeMatcher` — nothing trusts the hash alone.
     """
 
     name = "structure"
@@ -237,7 +237,7 @@ class StructuralHashAnalysis(DataflowAnalysis):
 
     def transfer(self, network: Network, signal: str, fanin_values):
         node = network.nodes[signal]
-        rows = ";".join(sorted(node.cover.to_strings()))
+        rows = ";".join(sorted_rows(node.cover))
         parts = ",".join(str(v) for v in fanin_values)
         return _digest(f"node|{rows}|{parts}")
 
@@ -259,53 +259,115 @@ def structural_classes(network: Network,
     by_hash: dict[object, list[str]] = {}
     for name in network.topological_order():
         by_hash.setdefault(values.get(name), []).append(name)
+    matcher = ConeMatcher(network, network)
     classes = []
     for digest, members in by_hash.items():
         if digest in (BOTTOM, TOP) or len(members) < 2:
             continue
         leader = members[0]
-        confirmed = [leader] + [
-            m for m in members[1:]
-            if cones_structurally_equal(network, leader, network, m)]
+        confirmed = [leader] + [m for m in members[1:]
+                                if matcher.equal(leader, m)]
         if len(confirmed) >= 2:
             classes.append(confirmed)
     return classes
 
 
-def cones_structurally_equal(net_a: Network, root_a: str,
-                             net_b: Network, root_b: str) -> bool:
-    """Exact recursive structural equality of two cones.
+def sorted_rows(cover: Cover) -> tuple[str, ...]:
+    """A cover's rows in canonical (sorted) order."""
+    return tuple(sorted(cover.to_strings()))
+
+
+class CoverRows:
+    """Sorted cover rows of a network's nodes, cached per version.
+
+    ``rows(name)`` computes a node's :func:`sorted_rows` once; any
+    mutation of the network (a version bump) drops every cached entry.
+    """
+
+    def __init__(self, network: Network):
+        self.network = network
+        self._version = network.version
+        self._rows: dict[str, tuple[str, ...]] = {}
+
+    def __call__(self, name: str) -> tuple[str, ...]:
+        if self.network.version != self._version:
+            self._rows = {}
+            self._version = self.network.version
+        rows = self._rows.get(name)
+        if rows is None:
+            rows = self._rows[name] = sorted_rows(
+                self.network.nodes[name].cover)
+        return rows
+
+
+class ConeMatcher:
+    """Exact structural cone equality between two networks, memoized.
 
     Matches node-for-node: identical sorted cover rows and pairwise
     structurally equal fanins (in fanin order); PIs match by name.
     Internal node names are ignored, which makes the check usable
     across a resynthesized pair.  Structural equality implies
     functional equality (it is syntactic identity of the DAGs).
-    """
-    memo: dict[tuple[str, str], bool] = {}
 
-    def eq(a: str, b: str) -> bool:
-        key = (a, b)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        a_is_pi = net_a.is_input(a)
-        b_is_pi = net_b.is_input(b)
-        if a_is_pi or b_is_pi:
-            result = a_is_pi and b_is_pi and a == b
+    One ``(root_a, root_b)`` memo and one sorted-rows cache per network
+    are shared by every query, so overlapping cones (the POs of one
+    circuit share most of their logic) are compared once.  The memo is
+    keyed by both networks' versions and dropped as soon as either
+    network mutates; each rows cache watches its own network.
+    ``net_a`` and ``net_b`` may be the same network.
+    """
+
+    def __init__(self, net_a: Network, net_b: Network):
+        self.net_a = net_a
+        self.net_b = net_b
+        self.rows_a = CoverRows(net_a)
+        self.rows_b = self.rows_a if net_b is net_a else CoverRows(net_b)
+        self._versions: tuple[int, int] | None = None
+        self._memo: dict[tuple[str, str], bool] = {}
+
+    def equal(self, root_a: str, root_b: str) -> bool:
+        net_a, net_b = self.net_a, self.net_b
+        versions = (net_a.version, net_b.version)
+        if versions != self._versions:
+            self._memo = {}
+            self._versions = versions
+        memo = self._memo
+        rows_a, rows_b = self.rows_a, self.rows_b
+        is_pi_a, is_pi_b = net_a.is_input, net_b.is_input
+        nodes_a, nodes_b = net_a.nodes, net_b.nodes
+
+        def eq(a: str, b: str) -> bool:
+            key = (a, b)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            a_is_pi = is_pi_a(a)
+            b_is_pi = is_pi_b(b)
+            if a_is_pi or b_is_pi:
+                result = a_is_pi and b_is_pi and a == b
+                memo[key] = result
+                return result
+            fanins_a, fanins_b = nodes_a[a].fanins, nodes_b[b].fanins
+            memo[key] = False  # cycle guard; networks are DAGs anyway
+            result = (len(fanins_a) == len(fanins_b)
+                      and rows_a(a) == rows_b(b)
+                      and all(eq(fa, fb)
+                              for fa, fb in zip(fanins_a, fanins_b)))
             memo[key] = result
             return result
-        node_a, node_b = net_a.nodes[a], net_b.nodes[b]
-        memo[key] = False  # cycle guard; networks are DAGs anyway
-        result = (len(node_a.fanins) == len(node_b.fanins)
-                  and sorted(node_a.cover.to_strings())
-                  == sorted(node_b.cover.to_strings())
-                  and all(eq(fa, fb) for fa, fb
-                          in zip(node_a.fanins, node_b.fanins)))
-        memo[key] = result
-        return result
 
-    return eq(root_a, root_b)
+        try:
+            return eq(root_a, root_b)
+        except BaseException:
+            # An interrupted walk leaves cycle-guard entries behind.
+            self._memo = {}
+            raise
+
+
+def cones_structurally_equal(net_a: Network, root_a: str,
+                             net_b: Network, root_b: str) -> bool:
+    """One-off :meth:`ConeMatcher.equal` query (no shared memo)."""
+    return ConeMatcher(net_a, net_b).equal(root_a, root_b)
 
 
 # ----------------------------------------------------------------------

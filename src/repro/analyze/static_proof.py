@@ -36,7 +36,7 @@ from repro.cubes import Cover, Cube
 from repro.network import Network
 
 from .context import NetworkAnalyses
-from .domains import cones_structurally_equal, cover_implies
+from .domains import ConeMatcher, cover_implies, sorted_rows
 from .lattice import (REL_EQ, REL_GE, REL_LE, REL_TOP,
                       compose_relations, flip_relation)
 
@@ -62,7 +62,10 @@ class StaticDischarger:
 
     Analyses are pulled from per-network :class:`NetworkAnalyses`
     bundles (shareable through the flow's ``AnalysisContext``), and the
-    relational map is computed once per approx version, lazily.
+    relational map is computed once per approx version, lazily.  One
+    :class:`ConeMatcher` serves every structural-equality query and
+    its sorted-rows caches feed the relational pass too; the matcher
+    drops whatever a mutation of either network made stale.
     """
 
     def __init__(self, original: Network, approx: Network,
@@ -74,6 +77,7 @@ class StaticDischarger:
             else NetworkAnalyses(original)
         self.aa = approx_analyses if approx_analyses is not None \
             else NetworkAnalyses(approx)
+        self._cones = ConeMatcher(original, approx)
         self._relations: dict[str, str] | None = None
         self._rel_version: int | None = None
         #: Discharge attempts by outcome reason (includes "unknown").
@@ -166,8 +170,7 @@ class StaticDischarger:
         ha = self.aa.structure_hashes.get(po)
         if ho is None or ha is None or ho != ha:
             return False
-        return cones_structurally_equal(self.original, po,
-                                        self.approx, po)
+        return self._cones.equal(po, po)
 
     # ------------------------------------------------------------------
     # Relational abstract interpretation
@@ -248,7 +251,10 @@ class StaticDischarger:
                 break
 
         # Step 2: A(x) vs O(x) — same inputs, different covers.
-        step2 = _cover_relation(a_cover, onode.cover)
+        a_rows = self._cones.rows_b(name) if a_cover is anode.cover \
+            else sorted_rows(a_cover)
+        step2 = _cover_relation(a_cover, onode.cover,
+                                a_rows, self._cones.rows_a(name))
 
         combined = compose_relations(step1, step2)
         return _best_relation(combined, const_rel)
@@ -313,10 +319,10 @@ def _meet_directions(acc: str, through: str) -> str:
     return REL_TOP
 
 
-def _cover_relation(a_cover, b_cover) -> str:
-    """Syntactic relation between two covers over the same fanins."""
-    rows_a = sorted(a_cover.to_strings())
-    rows_b = sorted(b_cover.to_strings())
+def _cover_relation(a_cover, b_cover, rows_a: tuple[str, ...],
+                    rows_b: tuple[str, ...]) -> str:
+    """Syntactic relation between two covers over the same fanins,
+    given each cover's :func:`sorted_rows`."""
     if rows_a == rows_b:
         return REL_EQ
     a_implies_b = cover_implies(a_cover, b_cover)

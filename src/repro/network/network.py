@@ -31,7 +31,17 @@ class Network:
     an internal node; primary outputs reference signals by name.  The
     graph must be acyclic; topological orderings are recomputed on demand
     and cached until the network is mutated.
+
+    ``inputs`` is a plain list: extend it with :meth:`add_input` or
+    replace it wholesale by assignment.  Membership tests go through a
+    frozenset cached against the identity of that list, so both kinds
+    of change are seen; an in-place edit of the list by other means is
+    not supported.
     """
+
+    #: ``(inputs list, frozenset of it)`` behind :meth:`is_input`; a
+    #: class default so instances unpickled from older versions work.
+    _input_cache: tuple[list[str], frozenset[str]] | None = None
 
     def __init__(self, name: str = "top"):
         self.name = name
@@ -95,14 +105,15 @@ class Network:
         if name in self.nodes or name in self.inputs:
             raise NetworkError(f"signal {name!r} already defined")
         self.inputs.append(name)
+        self._input_cache = None
         self._invalidate()
         return name
 
     def add_node(self, name: str, fanins: list[str], cover: Cover) -> str:
-        if name in self.nodes or name in self.inputs:
+        if self.signal_exists(name):
             raise NetworkError(f"signal {name!r} already defined")
         for fanin in fanins:
-            if fanin not in self.nodes and fanin not in self.inputs:
+            if not self.signal_exists(fanin):
                 raise NetworkError(
                     f"node {name!r}: fanin {fanin!r} not defined yet "
                     "(add nodes in topological order)")
@@ -115,7 +126,7 @@ class Network:
         return self.add_node(name, [], cover)
 
     def add_output(self, name: str) -> None:
-        if name not in self.nodes and name not in self.inputs:
+        if not self.signal_exists(name):
             raise NetworkError(f"output references unknown signal {name!r}")
         self.outputs.append(name)
         # Topological order doesn't depend on the output list, but
@@ -137,7 +148,7 @@ class Network:
         if name not in self.nodes:
             raise NetworkError(f"no node named {name!r}")
         for fanin in fanins:
-            if fanin not in self.nodes and fanin not in self.inputs:
+            if not self.signal_exists(fanin):
                 raise NetworkError(f"fanin {fanin!r} not defined")
         old = self.nodes[name]
         self.nodes[name] = Node(name, fanins, cover)
@@ -164,11 +175,15 @@ class Network:
     def is_input(self, name: str) -> bool:
         return name in self._input_set()
 
-    def _input_set(self) -> set[str]:
-        return set(self.inputs)
+    def _input_set(self) -> frozenset[str]:
+        cached = self._input_cache
+        if cached is None or cached[0] is not self.inputs:
+            cached = self._input_cache = (self.inputs,
+                                          frozenset(self.inputs))
+        return cached[1]
 
     def signal_exists(self, name: str) -> bool:
-        return name in self.nodes or name in self.inputs
+        return name in self.nodes or name in self._input_set()
 
     def node(self, name: str) -> Node:
         return self.nodes[name]
