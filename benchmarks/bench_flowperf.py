@@ -40,6 +40,7 @@ Run as a script (no PYTHONPATH needed)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import shutil
@@ -74,9 +75,16 @@ def _load(name: str):
 
 def _time_reps(run_once, reps: int, warmup: int):
     """min-of-``reps`` wall clock after ``warmup`` throwaway reps, and
-    the flow of the fastest timed rep."""
+    the flow of the fastest timed rep.
+
+    Every rep starts from a full garbage collection.  A warm i10 flow
+    takes ~0.04 s, and a full collection over the persistent context's
+    BDD tables adds ~0.05 s to whichever rep it lands in: without this,
+    the warm time measured the collector's schedule, not the flow.
+    """
     best, best_flow = None, None
     for i in range(warmup + max(1, reps)):
+        gc.collect()
         t0 = time.perf_counter()
         flow = run_once()
         elapsed = time.perf_counter() - t0

@@ -1,9 +1,10 @@
 """Perf-regression gate over BENCH_flow.json.
 
-Re-times the gate circuits on the current machine and fails if the warm
-(cached) or the cold (uncached) flow regressed more than ``--tolerance``
-(default 20%) against the committed baseline.  Raw seconds are not
-comparable across machines, so both allowances are scaled by the ratio
+Re-times the gate circuits on the current machine and fails if a gated
+flow time regressed more than ``--tolerance`` (default 20%) against the
+committed baseline: the cold (uncached) flow on i10, dalu and frg2, and
+the warm (cached) flow on i10 (see ``GATE_TIMES``).  Raw seconds are not
+comparable across machines, so every allowance is scaled by the ratio
 of the two runs' ``meta.calibration_seconds`` (a fixed pure-Python
 kernel that does not import ``repro``; see ``_calibration.py``)::
 
@@ -12,7 +13,7 @@ kernel that does not import ``repro``; see ``_calibration.py``)::
 
 A machine twice as slow as the baseline box gets twice the budget; a
 regressed warm or cold path fails on both.  The scale never depends on
-a flow time, so a slower (or faster) cold path cannot move either
+a flow time, so a slower (or faster) cold path cannot move any
 allowance.
 
 The gate also enforces a *static-discharge coverage floor* on the
@@ -23,7 +24,8 @@ fails CI even when timings look fine.
 
 Run as a script (CI invokes it after the quick bench)::
 
-    python benchmarks/bench_flowperf.py --circuits i10 --out /tmp/f.json
+    python benchmarks/bench_flowperf.py --circuits i10 dalu frg2 \
+        --out /tmp/f.json
     python benchmarks/check_flow_regression.py --fresh /tmp/f.json
 """
 
@@ -37,8 +39,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "BENCH_flow.json"
 
-#: Circuits the gate watches (warm and cold).
-GATE_CIRCUITS = ("i10",)
+#: Timed modes: report key -> label.
+COLD = {"uncached_seconds": "uncached"}
+WARM = {"cached_seconds": "cached"}
+
+#: Circuits the gate watches, and the modes it checks on each.  Warm
+#: flows take well under 0.1 s, so one warm gate is enough; a circuit
+#: named on the command line but not here gets both modes.
+GATE_TIMES = {"i10": {**WARM, **COLD}, "dalu": COLD, "frg2": COLD}
+GATE_CIRCUITS = tuple(GATE_TIMES)
 
 #: Minimum fraction of PO implication checks the static-discharge rung
 #: must resolve in the *uncached* flow, per gated circuit.  This is a
@@ -46,10 +55,6 @@ GATE_CIRCUITS = ("i10",)
 #: static rung (or weakens its relational pass), the rate collapses and
 #: the gate catches it even though wall-clock barely moves.
 MIN_STATIC_DISCHARGE = {"i10": 0.15}
-
-
-#: The timed modes the gate compares: report key -> label.
-GATED_TIMES = {"cached_seconds": "cached", "uncached_seconds": "uncached"}
 
 
 def machine_scale(baseline: dict, fresh: dict) -> float | None:
@@ -80,7 +85,7 @@ def check(baseline: dict, fresh: dict, tolerance: float,
         if now is None:
             failures.append(f"{name}: missing from fresh report")
             continue
-        for key, label in GATED_TIMES.items():
+        for key, label in GATE_TIMES.get(name, {**WARM, **COLD}).items():
             allowed = base[key] * scale * (1.0 + tolerance)
             if now[key] > allowed:
                 failures.append(

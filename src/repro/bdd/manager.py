@@ -10,11 +10,15 @@ accounting (minterm counting).
 
 The implementation is a textbook ite-based ROBDD with a unique table and
 an operation cache, plus an optional node budget so callers can fall back
-to simulation-based checking when a global BDD blows up.
+to simulation-based checking when a global BDD blows up.  ``and_``,
+``or_`` and ``not_`` run dedicated apply kernels (see
+:func:`_apply_kernels`) that allocate exactly the nodes the equivalent
+``ite`` call would, in the same order.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator, Sequence
 
 from repro.cubes import Cover, Cube
@@ -53,8 +57,19 @@ class BddManager:
         self._num_vars = 0
         self.zero = 0
         self.one = 1
+        self._alloc, self._and, self._or, self._not = _apply_kernels(self)
         for _ in range(num_vars):
             self.add_var()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("_alloc", "_and", "_or", "_not"):
+            del state[name]  # closures: rebuilt over the unpickled tables
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._alloc, self._and, self._or, self._not = _apply_kernels(self)
 
     # ------------------------------------------------------------------
     # Node store
@@ -129,19 +144,8 @@ class BddManager:
             return lo
         key = (var, lo, hi)
         node = self._unique.get(key)
-        if node is not None:
-            return node
-        if self.max_nodes is not None and len(self._var) >= self.max_nodes:
-            raise BddOverflowError(
-                f"BDD node budget of {self.max_nodes} exceeded")
-        self._allocs += 1
-        if self.guard is not None and not self._allocs & 1023:
-            self.guard.check_deadline("bdd allocation")
-        node = len(self._var)
-        self._var.append(var)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._unique[key] = node
+        if node is None:
+            node = self._alloc(key)
         return node
 
     # ------------------------------------------------------------------
@@ -189,15 +193,20 @@ class BddManager:
         return f, f
 
     def not_(self, f: int) -> int:
-        return self.ite(f, 0, 1)
+        """``!f``; the same nodes as ``ite(f, 0, 1)``."""
+        return self._not(f)
 
     def and_(self, f: int, g: int) -> int:
-        return self.ite(f, g, 0)
+        """``f & g``; the same nodes as ``ite(f, g, 0)``."""
+        return self._and(f, g)
 
     def or_(self, f: int, g: int) -> int:
-        return self.ite(f, 1, g)
+        """``f | g``; the same nodes as ``ite(f, 1, g)``."""
+        return self._or(f, g)
 
     def xor_(self, f: int, g: int) -> int:
+        if g == 1:
+            return self._not(f)
         return self.ite(f, self.not_(g), g)
 
     def xnor_(self, f: int, g: int) -> int:
@@ -455,3 +464,139 @@ class BddManager:
                 stack.append(self._lo[node])
                 stack.append(self._hi[node])
         return len(seen)
+
+
+def _apply_kernels(mgr: BddManager):
+    """The node allocator and the ``(and, or, not)`` apply kernels of
+    ``mgr``.
+
+    Each kernel is the ``ite`` recursion specialised to one connective:
+    closures over the manager's tables, so a recursive step does no
+    attribute lookup or method dispatch.  They keep ``ite``'s node
+    allocation exactly, id for id:
+
+    * every subproblem whose result node may not exist yet is visited,
+      low branch before high, and its node is made after both branches,
+      as ``ite`` does; the only subproblems skipped are ``f == g`` and
+      cache hits, whose results (and all of whose sub-results) already
+      exist, so ``ite`` would allocate nothing below them either;
+    * commutative operands are normalised (``f <= g``) and results are
+      cached in ``_ite_cache`` under the equivalent ite key — ``(f, g,
+      0)`` for and, ``(f, 1, g)`` for or, ``(f, 0, 1)`` for not — so
+      ``ite``, :meth:`BddManager.mark` and :meth:`BddManager.rollback`
+      see one cache;
+    * they make nodes through the same allocator as
+      :meth:`BddManager._mk`, which reads ``max_nodes`` and ``guard``
+      at allocation time (callers reassign both) and polls the guard
+      every 1024 allocations.
+
+    The tables are only ever mutated in place, never rebound, so the
+    closures stay valid for the manager's lifetime.  They hold the
+    manager itself only weakly, so it is still freed by reference
+    counting rather than left for the cycle collector.
+    """
+    var_of, lo_of, hi_of = mgr._var, mgr._lo, mgr._hi
+    unique, cache = mgr._unique, mgr._ite_cache
+    unique_get, cache_get = unique.get, cache.get
+    owner = weakref.ref(mgr)
+
+    def alloc(key: tuple[int, int, int]) -> int:
+        # A new node for a (var, lo, hi) key missing from the unique table.
+        mgr = owner()
+        if mgr.max_nodes is not None and len(var_of) >= mgr.max_nodes:
+            raise BddOverflowError(
+                f"BDD node budget of {mgr.max_nodes} exceeded")
+        mgr._allocs += 1
+        if mgr.guard is not None and not mgr._allocs & 1023:
+            mgr.guard.check_deadline("bdd allocation")
+        node = len(var_of)
+        var_of.append(key[0])
+        lo_of.append(key[1])
+        hi_of.append(key[2])
+        unique[key] = node
+        return node
+
+    def and_(f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return g if f else 0
+        if f == g:
+            return f
+        key = (f, g, 0)
+        result = cache_get(key)
+        if result is not None:
+            return result
+        vf, vg = var_of[f], var_of[g]
+        if vf < vg:
+            top = vf
+            lo = and_(lo_of[f], g)
+            hi = and_(hi_of[f], g)
+        elif vg < vf:
+            top = vg
+            lo = and_(f, lo_of[g])
+            hi = and_(f, hi_of[g])
+        else:
+            top = vf
+            lo = and_(lo_of[f], lo_of[g])
+            hi = and_(hi_of[f], hi_of[g])
+        if lo == hi:
+            result = lo
+        else:
+            node_key = (top, lo, hi)
+            result = unique_get(node_key)
+            if result is None:
+                result = alloc(node_key)
+        cache[key] = result
+        return result
+
+    def or_(f: int, g: int) -> int:
+        if f > g:
+            f, g = g, f
+        if f <= 1:
+            return 1 if f else g
+        if f == g:
+            return f
+        key = (f, 1, g)
+        result = cache_get(key)
+        if result is not None:
+            return result
+        vf, vg = var_of[f], var_of[g]
+        if vf < vg:
+            top = vf
+            lo = or_(lo_of[f], g)
+            hi = or_(hi_of[f], g)
+        elif vg < vf:
+            top = vg
+            lo = or_(f, lo_of[g])
+            hi = or_(f, hi_of[g])
+        else:
+            top = vf
+            lo = or_(lo_of[f], lo_of[g])
+            hi = or_(hi_of[f], hi_of[g])
+        if lo == hi:
+            result = lo
+        else:
+            node_key = (top, lo, hi)
+            result = unique_get(node_key)
+            if result is None:
+                result = alloc(node_key)
+        cache[key] = result
+        return result
+
+    def not_(f: int) -> int:
+        if f <= 1:
+            return 1 - f
+        key = (f, 0, 1)
+        result = cache_get(key)
+        if result is not None:
+            return result
+        # Negation is injective, so the children stay distinct.
+        node_key = (var_of[f], not_(lo_of[f]), not_(hi_of[f]))
+        result = unique_get(node_key)
+        if result is None:
+            result = alloc(node_key)
+        cache[key] = result
+        return result
+
+    return alloc, and_, or_, not_

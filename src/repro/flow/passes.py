@@ -18,6 +18,7 @@ the lab's content-addressed :class:`~repro.lab.cache.ArtifactStore`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import time
@@ -90,7 +91,14 @@ class FlowContext:
 
 def pass_fingerprint(pass_obj: Pass) -> str:
     """Digest of a pass implementation's identity and source."""
-    cls = type(pass_obj)
+    return _class_fingerprint(type(pass_obj))
+
+
+@functools.cache
+def _class_fingerprint(cls: type) -> str:
+    # ``inspect.getsource`` re-parses the class's whole module on every
+    # call, so each class is read once; the digest then describes the
+    # code that is loaded, not the file as it is on disk now.
     ident = f"{cls.__module__}.{cls.__qualname__}"
     try:
         source = inspect.getsource(cls)

@@ -132,6 +132,32 @@ def test_upstream_resume_chain_is_merkle_keyed(tmp_path):
     assert all(r.status == "ok" for r in trace.passes)
 
 
+def test_fingerprint_reads_each_class_source_once(monkeypatch):
+    import inspect
+
+    class Once(_Produce):
+        pass
+
+    class Other(_Produce):
+        def run(self, ctx, record):
+            return {"value": 42}
+
+    reads = []
+    getsource = inspect.getsource
+
+    def counting(obj):
+        reads.append(obj)
+        return getsource(obj)
+
+    monkeypatch.setattr(inspect, "getsource", counting)
+    first = pass_fingerprint(Once())
+    assert pass_fingerprint(Once()) == first
+    other = pass_fingerprint(Other())
+    assert pass_fingerprint(Other()) == other
+    assert reads == [Once, Other]
+    assert first != other
+
+
 def test_store_without_token_disables_checkpointing(tmp_path):
     store = ArtifactStore(tmp_path)
     manager = PassManager([_Produce()], store=store, token=None)

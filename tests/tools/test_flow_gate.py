@@ -17,16 +17,20 @@ def _load(name: str):
 gate = _load("check_flow_regression")
 
 
-def _report(calibration, cached, uncached, rate=0.3):
-    return {
-        "meta": {"calibration_seconds": calibration},
-        "circuits": {"i10": {
-            "cached_seconds": cached,
-            "uncached_seconds": uncached,
-            "static_discharge": {"rate": rate, "discharged": 3,
-                                 "attempts": 10},
-        }},
-    }
+def _report(calibration, cached, uncached, rate=0.3, **cold):
+    """i10 at ``cached``/``uncached``; dalu and frg2 cold at 5 s unless
+    ``cold`` says otherwise (their warm times stay ungated)."""
+    circuits = {"i10": {
+        "cached_seconds": cached,
+        "uncached_seconds": uncached,
+        "static_discharge": {"rate": rate, "discharged": 3,
+                             "attempts": 10},
+    }}
+    for name in ("dalu", "frg2"):
+        circuits[name] = {"cached_seconds": 0.05,
+                          "uncached_seconds": cold.get(name, 5.0)}
+    return {"meta": {"calibration_seconds": calibration},
+            "circuits": circuits}
 
 
 BASE = _report(0.02, cached=0.06, uncached=10.0)
@@ -52,8 +56,23 @@ def test_warm_regression_fails():
     assert len(failures) == 1 and "cached 0.080s" in failures[0]
 
 
+def test_dalu_and_frg2_cold_regressions_fail():
+    failures = gate.check(BASE, _report(0.02, 0.06, 10.0, dalu=6.5,
+                                        frg2=6.1), 0.2)
+    assert len(failures) == 2
+    assert failures[0].startswith("dalu: uncached")
+    assert failures[1].startswith("frg2: uncached")
+
+
+def test_only_i10_has_a_warm_gate():
+    assert gate.GATE_CIRCUITS == ("i10", "dalu", "frg2")
+    slow_warm = _report(0.02, 0.06, 10.0)
+    slow_warm["circuits"]["dalu"]["cached_seconds"] = 1.0
+    assert gate.check(BASE, slow_warm, 0.2) == []
+
+
 def test_slower_machine_scales_both_allowances():
-    slow = _report(0.04, cached=0.13, uncached=21.0)
+    slow = _report(0.04, cached=0.13, uncached=21.0, dalu=11.0, frg2=11.0)
     assert gate.machine_scale(BASE, slow) == 2.0
     assert gate.check(BASE, slow, 0.2) == []
     assert len(gate.check(BASE, _report(0.04, 0.15, 25.0), 0.2)) == 2
