@@ -1,8 +1,8 @@
-"""Regenerate the committed lint SARIF baseline.
+"""Regenerate the committed lint baseline.
 
 Runs the structural linter over every bundled benchmark circuit and
-merges the per-circuit SARIF logs into one multi-run document at
-``benchmarks/lint_baseline.sarif``.  CI's analyze-smoke job lints the
+writes one ``<ruleId> <fingerprint>`` line per finding to
+``benchmarks/lint_baseline.txt``.  CI's analyze-smoke job lints the
 same circuits against this file and fails on any finding whose stable
 fingerprint is not already recorded here — so the baseline freezes the
 *known* findings (bundled benchmarks ship with dead cones, unread
@@ -11,13 +11,12 @@ fanins, and the like) while letting regressions surface as ``new``.
 Regenerate after intentionally changing a lint rule or a benchmark::
 
     python benchmarks/make_lint_baseline.py
-    git add benchmarks/lint_baseline.sarif
+    git add benchmarks/lint_baseline.txt
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,32 +25,23 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench.suite import load_benchmark, tiny_benchmark
-from repro.lint import lint_network, to_sarif, validate_sarif
+from repro.lint import lint_network, write_baseline
 
-DEFAULT_OUT = ROOT / "benchmarks" / "lint_baseline.sarif"
+DEFAULT_OUT = ROOT / "benchmarks" / "lint_baseline.txt"
 
 CIRCUITS = ("tiny", "cmb", "cordic", "term1", "x1", "i2", "frg2",
             "dalu", "i10")
 
 
-def build_baseline(circuits=CIRCUITS) -> dict:
-    runs = []
+def lint_reports(circuits=CIRCUITS) -> list:
+    reports = []
     for name in circuits:
         network = tiny_benchmark() if name == "tiny" \
             else load_benchmark(name)
         report = lint_network(network, circuit=name)
-        doc = to_sarif(report)
-        runs.extend(doc["runs"])
+        reports.append(report)
         print(f"{name:8s} {len(report.diagnostics):4d} finding(s)")
-    merged = {
-        "$schema": doc["$schema"],
-        "version": doc["version"],
-        "runs": runs,
-    }
-    problems = validate_sarif(merged)
-    if problems:
-        raise AssertionError(f"generated baseline invalid: {problems}")
-    return merged
+    return reports
 
 
 def main(argv=None) -> int:
@@ -59,12 +49,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
     args = parser.parse_args(argv)
-    doc = build_baseline()
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True)
-                        + "\n")
-    total = sum(len(run["results"]) for run in doc["runs"])
-    print(f"wrote {args.out} ({total} baselined findings, "
-          f"{len(doc['runs'])} runs)")
+    total = write_baseline(lint_reports(), args.out)
+    print(f"wrote {args.out} ({total} baselined findings)")
     return 0
 
 

@@ -52,8 +52,7 @@ from repro.cubes import Cover, minimize
 from repro.guard import Budget, DeadlineExceeded
 from repro.lab.proofs import (EXACT_ENGINES, STATIC_ENGINE,
                               TRUSTED_ENGINES, ConeFingerprinter,
-                              cone_payload, implication_key,
-                              proof_workers, prove_implications)
+                              implication_key)
 from repro.network import (Network, eliminate, propagate_constants,
                            strash, sweep, trim_unread_fanins)
 from repro.sat.solver import SatBudgetExhausted, require_decided
@@ -168,13 +167,12 @@ def synthesize_approximation(network: Network,
 
         served = None
         if proofs is not None:
-            _preprove_parallel(network, approx, output_approximations,
-                               proofs, fingerprints, config, budget,
-                               static=StaticDischarger(
-                                   network, approx,
-                                   ctx.analyses(network),
-                                   ctx.analyses(approx))
-                               if use_static else None)
+            if use_static:
+                _precache_static(network, approx, output_approximations,
+                                 proofs, fingerprints,
+                                 StaticDischarger(network, approx,
+                                                  ctx.analyses(network),
+                                                  ctx.analyses(approx)))
             served = _serve_cached_proofs(network, approx,
                                           output_approximations,
                                           proofs, fingerprints, budget)
@@ -884,42 +882,12 @@ def _serve_cached_proofs(network: Network, approx: Network,
     return correctness, method
 
 
-def _preprove_parallel(network: Network, approx: Network,
-                       output_approximations: dict[str, int],
-                       proofs, fingerprints, config: ApproxConfig,
-                       budget: Budget | None, static=None) -> None:
-    """Prove uncached PO implications concurrently before the checker
-    is built (``REPRO_PROOF_WORKERS`` > 0).
-
-    Each worker proves one independent PO cone pair with budget-capped
-    BDDs; undecided cones (overflow/deadline in the worker) are simply
-    left uncached and handled by the in-process degradation ladder.
-    With a ``static`` discharger, statically decidable implications are
-    cached up front and never shipped to a worker at all.
-    """
-    if static is not None:
-        for po in network.outputs:
-            if network.is_input(po):
-                continue
-            direction = 1 if output_approximations[po] == 1 else 0
-            key = implication_key(fingerprints, network, approx, po,
-                                  direction)
-            if proofs.get(key) is not None:
-                continue
-            verdict = static.implication(po, direction)
-            if verdict.holds is not None:
-                proofs.put(key, {
-                    "kind": "implication", "po": po,
-                    "direction": direction,
-                    "holds": bool(verdict.holds),
-                    "engine": STATIC_ENGINE})
-    workers = proof_workers()
-    if workers <= 0 or config.check not in ("auto", "bdd"):
-        return
-    node_cap = config.bdd_node_budget
-    if budget is not None:
-        node_cap = budget.bdd_cap(node_cap)
-    jobs = []
+def _precache_static(network: Network, approx: Network,
+                     output_approximations: dict[str, int],
+                     proofs, fingerprints, static) -> None:
+    """Cache the statically decidable PO implications before the
+    checker is built, so a flow whose every PO the static rung decides
+    is served from the cache without building one."""
     for po in network.outputs:
         if network.is_input(po):
             continue
@@ -928,28 +896,13 @@ def _preprove_parallel(network: Network, approx: Network,
                               direction)
         if proofs.get(key) is not None:
             continue
-        jobs.append({
-            "key": key,
-            "original": cone_payload(network, po),
-            "approx": cone_payload(approx, po),
-            "po": po,
-            "direction": direction,
-            "node_cap": node_cap,
-            "deadline_s": budget.remaining_s()
-            if budget is not None else None,
-        })
-    if not jobs:
-        return
-    by_key = {job["key"]: job for job in jobs}
-    for verdict in prove_implications(jobs, workers):
-        if not verdict.get("ok"):
-            continue
-        job = by_key[verdict["key"]]
-        proofs.put(verdict["key"], {
-            "kind": "implication", "po": job["po"],
-            "direction": job["direction"],
-            "holds": bool(verdict["holds"]),
-            "engine": verdict["engine"]})
+        verdict = static.implication(po, direction)
+        if verdict.holds is not None:
+            proofs.put(key, {
+                "kind": "implication", "po": po,
+                "direction": direction,
+                "holds": bool(verdict.holds),
+                "engine": STATIC_ENGINE})
 
 
 def _safe_refresh(checker: "_Checker", network: Network, approx: Network,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import DEFAULT_BATCH, WORD_BITS, get_simulator, popcount
-from repro.sim.delayfaults import (TransitionFault, run_transition_fault,
+from repro.sim import (DEFAULT_BATCH, WORD_BITS, batched, get_simulator,
+                       popcount)
+from repro.sim.delayfaults import (TransitionFault,
                                    run_transition_fault_batch,
                                    transition_fault_list)
 
@@ -27,14 +28,12 @@ from .coverage import CoverageResult
 def evaluate_delay_fault_ced(assembly: CedAssembly, n_words: int = 8,
                              seed: int = 2008,
                              faults: list[TransitionFault] | None = None,
-                             vector_mode: str = "shared",
                              batch_size: int = DEFAULT_BATCH,
                              ctx=None) -> CoverageResult:
     """Fault-simulate transition faults and measure CED coverage.
 
-    ``vector_mode="shared"`` draws one golden vector *pair* for the
-    whole campaign and batches fault evaluation on the compiled tape;
-    ``"per-fault"`` draws a fresh pair per fault (the seed scheme).
+    One golden vector *pair* is drawn for the whole campaign and faults
+    are evaluated in batches on the compiled tape.
     """
     sim = (ctx.simulator if ctx is not None
            else get_simulator)(assembly.netlist)
@@ -47,50 +46,18 @@ def evaluate_delay_fault_ced(assembly: CedAssembly, n_words: int = 8,
     e1 = sim.index[assembly.error_pair[1]]
     rng = np.random.default_rng(seed)
 
-    runs = error_runs = detected_error = detected_all = false_alarms = 0
-    golden_invalid = 0
-    if vector_mode == "shared":
-        first = sim.run(sim.random_inputs(rng, n_words))
-        second = sim.run(sim.random_inputs(rng, n_words))
-        valid = second[e0] ^ second[e1]
-        golden_invalid = popcount(~valid) * len(faults)
-        second_po = second[po_indices]
-        runs = len(faults) * n_words * WORD_BITS
-        ordered = sorted(faults, key=lambda f: sim.site_level(f.signal))
-        for start in range(0, len(ordered), batch_size):
-            batch = ordered[start:start + batch_size]
-            scratch = run_transition_fault_batch(sim, first, second,
-                                                 batch)
-            diff = scratch[po_indices] ^ second_po[:, None, :]
-            error_mask = np.bitwise_or.reduce(diff, axis=0) & valid
-            detect_mask = ~(scratch[e0] ^ scratch[e1]) & valid
-            error_runs += popcount(error_mask)
-            detected_error += popcount(error_mask & detect_mask)
-            detected_all += popcount(detect_mask)
-            false_alarms += popcount(detect_mask & ~error_mask)
-        return CoverageResult(
-            runs=runs,
-            error_runs=error_runs,
-            detected_error_runs=detected_error,
-            detected_runs=detected_all,
-            false_alarms=false_alarms,
-            golden_invalid=golden_invalid)
-    for fault in faults:
-        first = sim.run(sim.random_inputs(rng, n_words))
-        second = sim.run(sim.random_inputs(rng, n_words))
-        valid = second[e0] ^ second[e1]
-        golden_invalid += popcount(~valid)
-        overlay = run_transition_fault(sim, first, second, fault)
-        runs += n_words * WORD_BITS
-
-        error_mask = np.zeros(n_words, dtype=np.uint64)
-        for idx in po_indices:
-            error_mask |= second[idx] ^ overlay.get(idx, second[idx])
-        error_mask &= valid
-        f0 = overlay.get(e0, second[e0])
-        f1 = overlay.get(e1, second[e1])
-        detect_mask = ~(f0 ^ f1) & valid
-
+    error_runs = detected_error = detected_all = false_alarms = 0
+    first = sim.run(sim.random_inputs(rng, n_words))
+    second = sim.run(sim.random_inputs(rng, n_words))
+    valid = second[e0] ^ second[e1]
+    golden_invalid = popcount(~valid) * len(faults)
+    second_po = second[po_indices]
+    runs = len(faults) * n_words * WORD_BITS
+    for batch in batched(faults, sim, batch_size):
+        scratch = run_transition_fault_batch(sim, first, second, batch)
+        diff = scratch[po_indices] ^ second_po[:, None, :]
+        error_mask = np.bitwise_or.reduce(diff, axis=0) & valid
+        detect_mask = ~(scratch[e0] ^ scratch[e1]) & valid
         error_runs += popcount(error_mask)
         detected_error += popcount(error_mask & detect_mask)
         detected_all += popcount(detect_mask)

@@ -99,7 +99,6 @@ class MaskingResult:
 def evaluate_masking(masked: MaskedCircuit, n_words: int = 8,
                      seed: int = 2008,
                      faults: list[Fault] | None = None,
-                     vector_mode: str = "shared",
                      batch_size: int = DEFAULT_BATCH,
                      ctx=None) -> MaskingResult:
     """Fault-inject the masked circuit and compare error rates.
@@ -118,33 +117,18 @@ def evaluate_masking(masked: MaskedCircuit, n_words: int = 8,
     masked_idx = [sim.index[masked.netlist.po_signals[m]]
                   for m in masked.masked_outputs.values()]
     rng = np.random.default_rng(seed)
-    runs = raw_errors = masked_errors = 0
-    if vector_mode == "shared":
-        golden = sim.run(sim.random_inputs(rng, n_words))
-        golden_raw = golden[raw_idx]
-        golden_masked = golden[masked_idx]
-        runs = len(faults) * n_words * WORD_BITS
-        for batch in batched(faults, sim, batch_size):
-            scratch = sim.run_stuck_batch(golden, batch)
-            raw_mask = np.bitwise_or.reduce(
-                scratch[raw_idx] ^ golden_raw[:, None, :], axis=0)
-            masked_mask = np.bitwise_or.reduce(
-                scratch[masked_idx] ^ golden_masked[:, None, :], axis=0)
-            raw_errors += popcount(raw_mask)
-            masked_errors += popcount(masked_mask)
-    else:
-        for fault in faults:
-            pi_words = sim.random_inputs(rng, n_words)
-            golden = sim.run(pi_words)
-            overlay = sim.run_fault(golden, fault.signal, fault.stuck)
-            runs += n_words * WORD_BITS
-            raw_mask = np.zeros(n_words, dtype=np.uint64)
-            for idx in raw_idx:
-                raw_mask |= golden[idx] ^ overlay.get(idx, golden[idx])
-            masked_mask = np.zeros(n_words, dtype=np.uint64)
-            for idx in masked_idx:
-                masked_mask |= golden[idx] ^ overlay.get(idx, golden[idx])
-            raw_errors += popcount(raw_mask)
-            masked_errors += popcount(masked_mask)
+    raw_errors = masked_errors = 0
+    golden = sim.run(sim.random_inputs(rng, n_words))
+    golden_raw = golden[raw_idx]
+    golden_masked = golden[masked_idx]
+    runs = len(faults) * n_words * WORD_BITS
+    for batch in batched(faults, sim, batch_size):
+        scratch = sim.run_stuck_batch(golden, batch)
+        raw_mask = np.bitwise_or.reduce(
+            scratch[raw_idx] ^ golden_raw[:, None, :], axis=0)
+        masked_mask = np.bitwise_or.reduce(
+            scratch[masked_idx] ^ golden_masked[:, None, :], axis=0)
+        raw_errors += popcount(raw_mask)
+        masked_errors += popcount(masked_mask)
     return MaskingResult(runs=runs, raw_error_runs=raw_errors,
                          masked_error_runs=masked_errors)

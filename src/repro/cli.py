@@ -11,7 +11,7 @@ Subcommands:
   (with ``--flow``) the full rule set over a CED flow run, emitting
   per-PO implication certificates; nonzero exit on error diagnostics;
   ``--sarif`` exports SARIF 2.1.0 and ``--baseline`` suppresses
-  findings already present in a committed SARIF log;
+  findings already listed in a committed baseline file;
 * ``analyze`` — run the repro.analyze dataflow analyses (constants,
   unateness, probability intervals, structure, observability) over a
   circuit and print the summary, cached in ``.lab_cache/analyze/``;
@@ -766,9 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the report as SARIF 2.1.0 "
                              "with stable result fingerprints")
     p_lint.add_argument("--baseline", metavar="PATH",
-                        help="SARIF log of known findings; matching "
-                             "fingerprints are marked unchanged and "
-                             "do not gate the exit status")
+                        help="baseline of known findings (one "
+                             "'<ruleId> <fingerprint>' line each); "
+                             "matching findings are marked unchanged "
+                             "and do not gate the exit status")
     _add_config_flags(p_lint)
     p_lint.set_defaults(func=cmd_lint)
 

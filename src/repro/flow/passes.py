@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
+import threading
 import time
 
 from .analysis import AnalysisContext
@@ -94,6 +95,14 @@ def pass_fingerprint(pass_obj: Pass) -> str:
     return _class_fingerprint(type(pass_obj))
 
 
+#: Serializes ``inspect.getsource``: it runs ``ast.parse``, and two
+#: threads parsing at once (thread-backed serve workers fingerprinting
+#: passes) can raise ``SystemError: AST constructor recursion depth
+#: mismatch`` on CPython 3.11.  ``functools.cache`` does not serialize
+#: first calls on distinct keys.
+_SOURCE_LOCK = threading.Lock()
+
+
 @functools.cache
 def _class_fingerprint(cls: type) -> str:
     # ``inspect.getsource`` re-parses the class's whole module on every
@@ -101,7 +110,8 @@ def _class_fingerprint(cls: type) -> str:
     # code that is loaded, not the file as it is on disk now.
     ident = f"{cls.__module__}.{cls.__qualname__}"
     try:
-        source = inspect.getsource(cls)
+        with _SOURCE_LOCK:
+            source = inspect.getsource(cls)
     except (OSError, TypeError):
         source = ""
     payload = f"schema={CHECKPOINT_SCHEMA}\n{ident}\n{source}"

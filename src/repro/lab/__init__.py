@@ -29,8 +29,7 @@ from .manifest import (JOB_STATUSES,  # noqa: F401
                        MANIFEST_SCHEMA_VERSION, build_manifest,
                        load_manifest, merge_manifests, new_run_id,
                        validate_manifest, write_manifest)
-from .proofs import (PROOF_WORKERS_ENV, ConeFingerprinter,  # noqa: F401
-                     ProofCache, proof_workers)
+from .proofs import ConeFingerprinter, ProofCache  # noqa: F401
 
 __all__ = [
     "Job", "JobGraph", "derive_seed", "canonical_params",
@@ -43,6 +42,5 @@ __all__ = [
     "MANIFEST_SCHEMA_VERSION", "JOB_STATUSES", "build_manifest",
     "load_manifest", "merge_manifests", "new_run_id",
     "validate_manifest", "write_manifest",
-    "ProofCache", "ConeFingerprinter", "proof_workers",
-    "PROOF_WORKERS_ENV",
+    "ProofCache", "ConeFingerprinter",
 ]

@@ -1,4 +1,4 @@
-"""Cross-process content-addressed proof cache + parallel cone proving.
+"""Cross-process content-addressed proof cache.
 
 The per-PO implication condition (paper Sec 2.2) only depends on the
 *cones* of the original and approximate output and the check direction.
@@ -13,15 +13,6 @@ produces bit-identical results with a cold or warm cache.
 Every entry embeds a digest of its own payload: a corrupted entry
 (truncated write, bit rot, hand editing) is detected on read, evicted,
 and transparently re-proved.
-
-Independent POs' implications can also be proved *concurrently*:
-:func:`prove_implications` ships self-contained cone payloads to a
-process pool (``REPRO_PROOF_WORKERS`` workers), each worker rebuilding
-the pair of cone networks and proving with budget-capped global BDDs.
-Budget state threads into the workers — node caps and the remaining
-wall-clock deadline — so a blow-up or deadline inside a worker reports
-back as "undecided" and the caller's degradation ladder fires for that
-cone exactly as it would in-process.
 """
 
 from __future__ import annotations
@@ -33,10 +24,8 @@ import time
 from pathlib import Path
 
 __all__ = ["ProofCache", "ConeFingerprinter", "implication_key",
-           "pct_key", "error_key", "cone_payload", "prove_implications",
-           "proof_workers", "PROOF_WORKERS_ENV", "PROOF_SCHEMA",
-           "CHECK_KIND_VERSIONS", "EXACT_ENGINES", "STATIC_ENGINE",
-           "TRUSTED_ENGINES"]
+           "pct_key", "error_key", "PROOF_SCHEMA", "CHECK_KIND_VERSIONS",
+           "EXACT_ENGINES", "STATIC_ENGINE", "TRUSTED_ENGINES"]
 
 #: Bump when the entry layout or the fingerprint recipe changes.
 #: v2: keys carry the synthesis-engine name and a per-check-kind
@@ -51,10 +40,6 @@ PROOF_SCHEMA = 2
 CHECK_KIND_VERSIONS = {"implication": 1, "approx_pct": 1,
                        "error_metric": 1}
 
-#: Environment variable selecting the parallel-prover worker count.
-#: ``0`` (the default) disables out-of-process proving.
-PROOF_WORKERS_ENV = "REPRO_PROOF_WORKERS"
-
 #: Engines whose verdicts are exact and therefore cacheable.
 EXACT_ENGINES = ("bdd", "sat")
 
@@ -64,15 +49,6 @@ STATIC_ENGINE = "static"
 
 #: Every engine whose cached verdicts may be served without re-proving.
 TRUSTED_ENGINES = (*EXACT_ENGINES, STATIC_ENGINE)
-
-
-def proof_workers() -> int:
-    """Worker count for parallel cone proving (0 = in-process only)."""
-    raw = os.environ.get(PROOF_WORKERS_ENV, "0").strip()
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
 
 
 # ----------------------------------------------------------------------
@@ -343,94 +319,3 @@ class ProofCache:
             else:
                 kept += 1
         return {"removed_stale": removed, "kept_entries": kept}
-
-
-# ----------------------------------------------------------------------
-# Parallel cone proving
-# ----------------------------------------------------------------------
-def cone_payload(network, root: str) -> dict:
-    """A self-contained, picklable description of one root's cone."""
-    if root not in network.nodes:
-        return {"root": root, "inputs": [root], "nodes": []}
-    cone = network.transitive_fanin([root])
-    inputs = [pi for pi in network.inputs if pi in cone]
-    nodes = []
-    for name in network.topological_order():
-        if name not in cone:
-            continue
-        node = network.nodes[name]
-        nodes.append((name, list(node.fanins), node.cover.to_strings(),
-                      node.cover.n))
-    return {"root": root, "inputs": inputs, "nodes": nodes}
-
-
-def _network_from_payload(payload: dict, name: str):
-    from repro.cubes import Cover
-    from repro.network import Network
-    net = Network(name)
-    for pi in payload["inputs"]:
-        net.add_input(pi)
-    for node_name, fanins, rows, width in payload["nodes"]:
-        cover = Cover.from_strings(rows) if rows else Cover(width)
-        net.add_node(node_name, list(fanins), cover)
-    net.add_output(payload["root"])
-    return net
-
-
-def _prove_entry(job: dict) -> dict:
-    """Worker: rebuild one cone pair and prove its implication.
-
-    Returns ``{"key", "ok", "holds", "engine"}`` on success; on
-    overflow/deadline/any failure ``ok`` is False and the caller's
-    in-process ladder takes over for that cone.
-    """
-    key = job["key"]
-    try:
-        from repro.bdd import BddOverflowError
-        from repro.guard import Budget, BudgetExceeded
-        from repro.network import GlobalBdds, dfs_input_order
-
-        original = _network_from_payload(job["original"], "cone_o")
-        approx = _network_from_payload(job["approx"], "cone_a")
-        inputs = dfs_input_order(original)
-        for pi in approx.inputs:
-            if pi not in inputs:
-                inputs.append(pi)
-        try:
-            bdds = GlobalBdds(inputs, max_nodes=job.get("node_cap"))
-            deadline_s = job.get("deadline_s")
-            if deadline_s is not None:
-                bdds.manager.guard = Budget(deadline_s=deadline_s).start()
-            bdds.add_network(original, prefix="o_")
-            bdds.add_network(approx, prefix="a_")
-            po = job["po"]
-            if job["direction"] == 1:
-                holds = bdds.implies("a_" + po, "o_" + po)
-            else:
-                holds = bdds.implies("o_" + po, "a_" + po)
-            return {"key": key, "ok": True, "holds": bool(holds),
-                    "engine": "bdd"}
-        except (BddOverflowError, BudgetExceeded) as exc:
-            return {"key": key, "ok": False, "why": type(exc).__name__}
-    except Exception as exc:  # never kill the pool on a cone
-        return {"key": key, "ok": False, "why": repr(exc)}
-
-
-def prove_implications(jobs: list[dict], workers: int) -> list[dict]:
-    """Prove many independent cone implications on a process pool.
-
-    Each job: ``{"key", "original", "approx", "po", "direction",
-    "node_cap", "deadline_s"}`` (see :func:`cone_payload`).  Falls back
-    to in-process proving when ``workers <= 1`` or the pool cannot
-    start (sandboxes without semaphores).
-    """
-    if workers <= 1 or len(jobs) <= 1:
-        return [_prove_entry(job) for job in jobs]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers,
-                                                 len(jobs))) as pool:
-            chunk = max(len(jobs) // (4 * workers), 1)
-            return list(pool.map(_prove_entry, jobs, chunksize=chunk))
-    except (OSError, ImportError, RuntimeError):
-        return [_prove_entry(job) for job in jobs]

@@ -36,7 +36,8 @@ from .engine import (LINT_LEVELS, FlowContext, LintError, NetworkContext,
 from .registry import LintRule, all_rules, get_rule, rule, rules_for
 from .sarif import (FINGERPRINT_KEY, diagnostic_fingerprint,
                     finding_fingerprint, load_baseline, new_results,
-                    to_sarif, validate_sarif, write_sarif)
+                    to_sarif, validate_sarif, write_baseline,
+                    write_sarif)
 from .semantics import PairSemantics, ProofResult
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "validate_certificate",
     "validate_error_certificate",
     "validate_sarif",
+    "write_baseline",
     "write_certificates",
     "write_sarif",
 ]

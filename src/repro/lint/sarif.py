@@ -5,9 +5,11 @@ as a SARIF log (the Static Analysis Results Interchange Format, OASIS
 standard v2.1.0) so CI systems and code-review UIs can ingest the
 findings.  Every result carries a *stable fingerprint* — a content hash
 of (rule, circuit, location, message) under ``partialFingerprints`` —
-which survives reordering and unrelated edits; :func:`load_baseline`
-reads the fingerprints back from a committed SARIF file, and results
-matching the baseline are marked ``baselineState: unchanged`` so only
+which survives reordering and unrelated edits.
+
+A *baseline* is a plain-text file with one ``<ruleId> <fingerprint>``
+line per known finding (:func:`write_baseline` / :func:`load_baseline`);
+results matching it are marked ``baselineState: unchanged`` so only
 ``new`` findings gate a run.
 
 :func:`validate_sarif` is a hand-rolled structural check against the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 from .diagnostics import LintReport
@@ -34,6 +37,9 @@ FINGERPRINT_KEY = "reproLint/v1"
 
 _LEVELS = {"error": "error", "warning": "warning", "info": "note"}
 _VALID_LEVELS = ("none", "note", "warning", "error")
+
+#: One baseline line: a rule id and a :func:`finding_fingerprint`.
+_BASELINE_LINE = re.compile(r"(\S+) ([0-9a-f]{32})")
 
 
 def finding_fingerprint(rule: str, circuit: str, location: str,
@@ -125,25 +131,40 @@ def write_sarif(report: LintReport, path: str | Path,
     return doc
 
 
-def load_baseline(path: str | Path) -> set[str]:
-    """Fingerprints of every result in a committed SARIF baseline.
+def write_baseline(reports, path: str | Path) -> int:
+    """Write the baseline of every finding in ``reports``.
 
-    Unreadable or malformed baselines raise — silently treating a
-    broken baseline as empty would resurface every suppressed finding
-    and fail CI for the wrong reason.
+    One ``<ruleId> <fingerprint>`` line per distinct finding, sorted so
+    that regenerating an unchanged baseline leaves the file unchanged.
+    Returns the number of findings written.
     """
-    doc = json.loads(Path(path).read_text())
-    problems = validate_sarif(doc)
-    if problems:
-        raise ValueError(f"invalid SARIF baseline {path}: "
-                         f"{problems[0]}")
+    lines = sorted({f"{d.rule} {diagnostic_fingerprint(d)}"
+                    for report in reports for d in report.diagnostics})
+    Path(path).write_text(f"# repro.lint baseline ({FINGERPRINT_KEY}): "
+                          "<ruleId> <fingerprint> per line\n"
+                          + "".join(line + "\n" for line in lines))
+    return len(lines)
+
+
+def load_baseline(path: str | Path) -> set[str]:
+    """Fingerprints of every finding in a baseline file.
+
+    Lines starting with ``#`` are comments.  Unreadable or malformed
+    baselines raise — silently treating a broken baseline as empty
+    would resurface every suppressed finding and fail CI for the wrong
+    reason.
+    """
     fingerprints: set[str] = set()
-    for run in doc.get("runs", []):
-        for result in run.get("results", []):
-            fp = (result.get("partialFingerprints") or {}) \
-                .get(FINGERPRINT_KEY)
-            if fp:
-                fingerprints.add(fp)
+    for number, line in enumerate(
+            Path(path).read_text().splitlines(), 1):
+        if line.startswith("#"):
+            continue
+        match = _BASELINE_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"invalid lint baseline {path}:{number}: "
+                             f"expected '<ruleId> <fingerprint>', got "
+                             f"{line[:60]!r}")
+        fingerprints.add(match.group(2))
     return fingerprints
 
 

@@ -5,19 +5,9 @@ against every single stuck-at fault and classify the resulting primary
 output errors by direction (0->1 vs 1->0).  Bit-parallel words make each
 (fault, word) simulation cover 64 runs of the paper's campaign.
 
-Two campaign modes exist:
-
-* ``"shared"`` (default): one vector block and one golden simulation
-  are shared across all faults, and faults are re-evaluated in batches
-  on the compiled tape (:meth:`BitSimulator.run_stuck_batch`).  This is
-  the fast path — orders of magnitude quicker than per-fault golden
-  regeneration on large circuits.
-* ``"per-fault"``: fresh random vectors and a fresh golden run per
-  fault, exactly the seed engine's sampling scheme (kept for
-  statistical parity experiments and as the equivalence baseline).
-
-Both modes estimate the same campaign statistics; they differ only in
-how vectors are drawn, not in the fault model.
+One vector block and one golden simulation are shared across all
+faults, and faults are re-evaluated in batches on the compiled tape
+(:meth:`BitSimulator.run_stuck_batch`).
 """
 
 from __future__ import annotations
@@ -27,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .faults import Fault, fault_list
-from .simulator import (WORD_BITS, BitSimulator, bit_count, get_simulator,
-                        popcount)
+from .simulator import WORD_BITS, BitSimulator, bit_count, get_simulator
 
 #: Fault lanes evaluated together in one batched tape pass.
 DEFAULT_BATCH = 32
@@ -88,42 +77,22 @@ def batched(faults: list[Fault], sim: BitSimulator,
 def run_campaign(circuit, n_words: int = 8, seed: int = 2008,
                  faults: list[Fault] | None = None,
                  track_per_fault: bool = False,
-                 vector_mode: str = "shared",
                  batch_size: int = DEFAULT_BATCH) -> FaultSimReport:
     """Fault-simulate ``circuit`` and tally output error directions.
 
-    Every fault is simulated against ``n_words * 64`` random vectors.
-    ``vector_mode="shared"`` draws one vector block for the whole
-    campaign and batches fault evaluation; ``"per-fault"`` draws fresh
-    vectors per fault, as in a random (vector, fault) campaign.  An
-    *error run* is a (vector, fault) pair for which at least one
-    primary output differs from the golden value.
+    Every fault is simulated against the same ``n_words * 64`` random
+    vectors, in batches of ``batch_size`` faults.  An *error run* is a
+    (vector, fault) pair for which at least one primary output differs
+    from the golden value.
     """
     sim = get_simulator(circuit)
     if faults is None:
         faults = fault_list(circuit)
     rng = np.random.default_rng(seed)
-    report = FaultSimReport(runs=0, error_runs=0)
-    for po in sim.output_names:
-        report.per_output[po] = OutputErrorStats()
-    if vector_mode == "shared":
-        _campaign_shared(sim, faults, rng, n_words, report,
-                         track_per_fault, batch_size)
-    elif vector_mode == "per-fault":
-        _campaign_per_fault(sim, faults, rng, n_words, report,
-                            track_per_fault)
-    else:
-        raise ValueError(f"unknown vector_mode {vector_mode!r}; "
-                         "expected 'shared' or 'per-fault'")
-    return report
-
-
-def _campaign_shared(sim: BitSimulator, faults, rng, n_words, report,
-                     track_per_fault, batch_size) -> None:
-    pi_words = sim.random_inputs(rng, n_words)
-    golden = sim.run(pi_words)
+    golden = sim.run(sim.random_inputs(rng, n_words))
     golden_out = sim.outputs_of(golden)            # (P, W)
-    report.runs = len(faults) * n_words * WORD_BITS
+    report = FaultSimReport(runs=len(faults) * n_words * WORD_BITS,
+                            error_runs=0)
     n_outputs = len(sim.output_names)
     zero_to_one = np.zeros(n_outputs, dtype=np.int64)
     one_to_zero = np.zeros(n_outputs, dtype=np.int64)
@@ -142,32 +111,5 @@ def _campaign_shared(sim: BitSimulator, faults, rng, n_words, report,
         one_to_zero += bit_count(diff & lifted).sum(axis=(1, 2),
                                                     dtype=np.int64)
     for po, up, down in zip(sim.output_names, zero_to_one, one_to_zero):
-        stats = report.per_output[po]
-        stats.zero_to_one += int(up)
-        stats.one_to_zero += int(down)
-
-
-def _campaign_per_fault(sim: BitSimulator, faults, rng, n_words, report,
-                        track_per_fault) -> None:
-    for fault in faults:
-        pi_words = sim.random_inputs(rng, n_words)
-        golden = sim.run(pi_words)
-        overlay = sim.run_fault(golden, fault.signal, fault.stuck)
-        golden_out = sim.outputs_of(golden)
-        faulty_out = sim.faulty_outputs(golden, overlay)
-        diff = golden_out ^ faulty_out
-        report.runs += n_words * WORD_BITS
-        if diff.any():
-            any_error = np.bitwise_or.reduce(diff, axis=0)
-            n_errors = popcount(any_error)
-            report.error_runs += n_errors
-            if track_per_fault:
-                report.per_fault_errors[fault] = n_errors
-            for po, g_row, d_row in zip(sim.output_names, golden_out,
-                                        diff):
-                stats = report.per_output[po]
-                # golden 0, faulty 1 where diff & ~golden.
-                stats.zero_to_one += popcount(d_row & ~g_row)
-                stats.one_to_zero += popcount(d_row & g_row)
-        elif track_per_fault:
-            report.per_fault_errors[fault] = 0
+        report.per_output[po] = OutputErrorStats(int(up), int(down))
+    return report

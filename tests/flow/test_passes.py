@@ -158,6 +158,50 @@ def test_fingerprint_reads_each_class_source_once(monkeypatch):
     assert first != other
 
 
+def test_fingerprint_reads_sources_one_thread_at_a_time(monkeypatch):
+    """``inspect.getsource`` parses with ``ast``, which is not safe to
+    run from two threads at once; first fingerprints of distinct pass
+    classes from concurrent threads must read their sources serially."""
+    import inspect
+    import threading
+    import time
+
+    from repro.flow import passes
+
+    classes = [type(f"_Concurrent{i}", (_Produce,), {}) for i in range(4)]
+    lock = threading.Lock()
+    active = [0]
+    overlaps = []
+
+    def slow_getsource(obj):
+        with lock:
+            active[0] += 1
+            overlaps.append(active[0])
+        time.sleep(0.05)
+        with lock:
+            active[0] -= 1
+        return f"class {obj.__name__}: pass"
+
+    monkeypatch.setattr(inspect, "getsource", slow_getsource)
+    passes._class_fingerprint.cache_clear()
+    barrier = threading.Barrier(len(classes))
+    results = {}
+
+    def fingerprint(cls):
+        barrier.wait()
+        results[cls] = pass_fingerprint(cls())
+
+    threads = [threading.Thread(target=fingerprint, args=(cls,))
+               for cls in classes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert max(overlaps) == 1
+    assert len(overlaps) == len(classes)
+    assert len(set(results.values())) == len(classes)
+
+
 def test_store_without_token_disables_checkpointing(tmp_path):
     store = ArtifactStore(tmp_path)
     manager = PassManager([_Produce()], store=store, token=None)

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.lab.proofs import (ConeFingerprinter, ProofCache,
-                              cone_payload, implication_key,
-                              prove_implications)
+                              implication_key)
 from repro.lab.tasks import load_circuit
 
 
@@ -86,41 +85,6 @@ def test_prune_evicts_oldest_first(tmp_path):
     assert cache.get(keys[2]) is not None and cache.get(keys[3]) is not None
 
 
-def test_prove_implications_in_process(tiny_pair):
-    original, approx, directions = tiny_pair
-    fp = ConeFingerprinter()
-    jobs = []
-    for po, direction in directions.items():
-        if original.is_input(po):
-            continue
-        d = 1 if direction == 1 else 0
-        jobs.append({
-            "key": implication_key(fp, original, approx, po, d),
-            "original": cone_payload(original, po),
-            "approx": cone_payload(approx, po),
-            "po": po, "direction": d,
-            "node_cap": 100_000, "deadline_s": None})
-    verdicts = prove_implications(jobs, workers=0)
-    assert len(verdicts) == len(jobs)
-    # The synthesis result claims correctness; independent cone proofs
-    # must agree.
-    assert all(v["ok"] and v["holds"] for v in verdicts)
-    assert all(v["engine"] == "bdd" for v in verdicts)
-
-
-def test_worker_reports_undecided_on_tiny_cap(tiny_pair):
-    original, approx, _ = tiny_pair
-    fp = ConeFingerprinter()
-    po = next(p for p in original.outputs if not original.is_input(p))
-    job = {"key": implication_key(fp, original, approx, po, 1),
-           "original": cone_payload(original, po),
-           "approx": cone_payload(approx, po),
-           "po": po, "direction": 1, "node_cap": 2, "deadline_s": None}
-    verdict = prove_implications([job], workers=0)[0]
-    assert verdict["ok"] is False
-    assert verdict["why"] == "BddOverflowError"
-
-
 def test_flow_serves_proofs_on_warm_run(tmp_path):
     """Second identical flow run proves nothing: every PO implication
     (and pct) comes from the proof cache, surfaced in the flow trace."""
@@ -141,3 +105,34 @@ def test_flow_serves_proofs_on_warm_run(tmp_path):
     # >= 90% of implication lookups served from the cross-run cache.
     assert warm_hits.get("hits", 0) >= 0.9 * total
     assert warm_hits.get("hits", 0) > cold_hits.get("hits", 0)
+
+
+def test_static_verdicts_precached_before_checker(tmp_path):
+    """With the static rung on, every cmb PO implication is decided
+    and cached statically before a checker is built; with it off the
+    BDD checker proves them.  A warm rerun serves all of them, and all
+    four runs agree."""
+    from repro.approx import ApproxConfig
+    from repro.ced import run_ced_flow
+
+    summaries = []
+    for static, engine in ((True, "static"), (False, "bdd")):
+        proof_dir = tmp_path / engine
+        config = ApproxConfig(static_discharge=static)
+        cold = run_ced_flow(load_circuit("cmb"), config=config,
+                            proof_cache_dir=proof_dir)
+        entries = [json.loads(path.read_text())
+                   for path, _, _ in ProofCache(proof_dir)._entries()]
+        implications = [e for e in entries if e["kind"] == "implication"]
+        assert len(implications) == 4
+        assert {e["engine"] for e in implications} == {engine}
+        assert cold.trace.record("synthesize").stats["check_method"] \
+            == engine
+
+        warm = run_ced_flow(load_circuit("cmb"), config=config,
+                            proof_cache_dir=proof_dir)
+        assert warm.trace.cache_totals()["proofs"].get("misses", 0) == 0
+        assert warm.trace.record("synthesize").stats["check_method"] \
+            == engine
+        summaries += [cold.summary(), warm.summary()]
+    assert all(summary == summaries[0] for summary in summaries)

@@ -8,7 +8,7 @@ from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.sarif import (FINGERPRINT_KEY, SARIF_VERSION,
                               finding_fingerprint, load_baseline,
                               new_results, to_sarif, validate_sarif,
-                              write_sarif)
+                              write_baseline)
 
 
 def _diag(rule="net.dead-cone", severity=Severity.WARNING,
@@ -71,10 +71,15 @@ def test_emission_order_is_independent_of_insertion_order():
 
 
 def test_baseline_round_trip_suppresses_known_findings(tmp_path):
-    path = tmp_path / "baseline.sarif"
-    write_sarif(_report(), path)
+    path = tmp_path / "baseline.txt"
+    assert write_baseline([_report(), _report()], path) == 3
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("#") and len(lines) == 4
+    assert lines[1:] == sorted(lines[1:])
     baseline = load_baseline(path)
-    assert len(baseline) == 3
+    sarif = to_sarif(_report())
+    assert baseline == {r["partialFingerprints"][FINGERPRINT_KEY]
+                        for r in sarif["runs"][0]["results"]}
 
     unchanged = to_sarif(_report(), baseline=baseline)
     assert validate_sarif(unchanged) == []
@@ -95,15 +100,18 @@ def test_new_results_without_baseline_reports_everything():
 
 
 def test_load_baseline_rejects_malformed_documents(tmp_path):
-    bad_json = tmp_path / "bad.sarif"
-    bad_json.write_text("{not json")
-    with pytest.raises(json.JSONDecodeError):
-        load_baseline(bad_json)
-
-    wrong_shape = tmp_path / "shape.sarif"
-    wrong_shape.write_text(json.dumps({"version": "1.0", "runs": []}))
-    with pytest.raises(ValueError, match="invalid SARIF baseline"):
-        load_baseline(wrong_shape)
+    path = tmp_path / "bad.txt"
+    for text in ["{not json",
+                 json.dumps({"version": "2.1.0", "runs": []}),
+                 "net.dead-cone",
+                 "net.dead-cone 0123",
+                 "net.dead-cone " + "g" * 32,
+                 "net.dead-cone " + "0" * 32 + " extra",
+                 ""]:
+        path.write_text(f"# header\nnet.const-node {'a' * 32}\n{text}\n")
+        with pytest.raises(ValueError,
+                           match=r"invalid lint baseline .*:3:"):
+            load_baseline(path)
 
 
 def _valid_doc():
@@ -139,3 +147,21 @@ def test_validate_sarif_flags_each_defect(mutate, needle):
 def test_validate_sarif_rejects_non_object():
     assert validate_sarif([1, 2]) \
         == ["document is list, expected object"]
+
+
+def test_committed_baseline_covers_bundled_findings():
+    from pathlib import Path
+
+    from repro.bench.suite import load_benchmark, tiny_benchmark
+    from repro.lint import lint_network
+    from repro.lint.sarif import diagnostic_fingerprint
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" \
+        / "lint_baseline.txt"
+    baseline = load_baseline(path)
+    for name, network in (("tiny", tiny_benchmark()),
+                          ("cmb", load_benchmark("cmb"))):
+        report = lint_network(network, circuit=name)
+        assert report.diagnostics
+        assert {diagnostic_fingerprint(d)
+                for d in report.diagnostics} <= baseline, name

@@ -412,11 +412,10 @@ class TestLintSarif:
 
     def test_baseline_suppresses_known_findings(self, dirty_path,
                                                 tmp_path, capsys):
-        from repro.lint import new_results
-        base = tmp_path / "baseline.sarif"
-        assert main(["lint", "--blif", str(dirty_path),
-                     "--sarif", str(base)]) == 0
-        capsys.readouterr()
+        from repro.lint import lint_network, new_results, write_baseline
+        base = tmp_path / "baseline.txt"
+        write_baseline([lint_network(read_blif(str(dirty_path)),
+                                     circuit=str(dirty_path))], base)
         log = tmp_path / "rerun.sarif"
         assert main(["lint", "--blif", str(dirty_path),
                      "--sarif", str(log), "--baseline", str(base)]) == 0
@@ -427,7 +426,7 @@ class TestLintSarif:
     def test_unreadable_baseline_exits_2(self, dirty_path, tmp_path,
                                          capsys):
         code = main(["lint", "--blif", str(dirty_path),
-                     "--baseline", str(tmp_path / "missing.sarif")])
+                     "--baseline", str(tmp_path / "missing.txt")])
         assert code == 2
         assert "cannot read baseline" in capsys.readouterr().err
 
