@@ -1,7 +1,7 @@
 """Load-test harness for the serve subsystem (``repro.serve``).
 
 Spins up a real :class:`~repro.serve.CedService` (own event loop in a
-background thread, port 0, sharded workers) and measures four things
+background thread, port 0, lab-backend workers) and measures four things
 through the actual HTTP wire format:
 
 * **identity** — every Table 1/2 circuit plus ``tiny`` submitted
@@ -9,7 +9,7 @@ through the actual HTTP wire format:
   ``run_ced_flow`` call with the same parameters.  The service is a
   transport, never a different computation.
 * **warm** — the largest circuit submitted twice: the repeat must be
-  served from warm worker state (resumed passes / checkpoint hits) at
+  served from warm state on disk (resumed passes / checkpoint hits) at
   least 10x faster than the cold run.
 * **throughput** — sustained concurrent submissions of a warm small
   circuit; reports requests/s and p50/p99 end-to-end latency.
@@ -289,7 +289,7 @@ def main(argv=None) -> int:
             tenant_burst=10_000.0))
         client = handle.start()
         try:
-            backend = handle.service.pool.backend
+            backend = handle.service.backend_kind
             identity = bench_identity(client, names)
             warm = bench_warm(
                 client, warm_target,

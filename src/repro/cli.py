@@ -25,7 +25,7 @@ Subcommands:
 * ``cache`` — stats/prune for the cross-process implication proof
   cache (``.lab_cache/proofs/``);
 * ``serve`` — run the CED-synthesis service (async HTTP front end over
-  sharded warm workers; see DESIGN.md §14) until SIGTERM drains it.
+  lab-backend workers; see DESIGN.md §14) until SIGTERM drains it.
 
 Usage: ``python -m repro.cli <subcommand> --help``.
 """
@@ -823,18 +823,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run the CED-synthesis service (async HTTP over sharded "
-             "warm workers)")
+        help="run the CED-synthesis service (async HTTP over worker "
+             "processes or threads)")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="listen port (0 picks a free one)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="sharded warm worker count")
+                         help="worker count (jobs run at once)")
     p_serve.add_argument("--backend", choices=("process", "thread"),
                          default="process",
-                         help="worker isolation (process default; "
-                              "falls back to thread where "
-                              "multiprocessing is unavailable)")
+                         help="process: the lab's local backend "
+                              "(default; falls back to thread where "
+                              "multiprocessing is unavailable); "
+                              "thread: its workqueue backend")
     p_serve.add_argument("--state-dir", default=".serve_cache",
                          help="warm checkpoint + proof cache root")
     p_serve.add_argument("--max-queue", type=int, default=16,

@@ -7,8 +7,9 @@ backend-agnostic: it submits :class:`JobRequest` payloads and collects
 :class:`concurrent.futures.Future` handles.  This module supplies the
 backends behind that seam:
 
-* ``local`` — today's ``ProcessPoolExecutor``, behavior-identical to
-  the pre-backend runner;
+* ``local`` — a ``ProcessPoolExecutor`` (any multiprocessing start
+  method) that streams job progress over one pipe and replaces its
+  pool after a worker death;
 * ``tcp`` — a stdlib-only coordinator/worker pair over asyncio sockets
   reusing the serve HTTP framing (:mod:`repro.serve.protocol`): the
   coordinator embeds in the runner process, workers
@@ -34,14 +35,22 @@ Backends are selected with ``LabRunner(backend=...)`` or the
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
+import itertools
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
+import select
 import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+import traceback
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -65,6 +74,10 @@ class JobRequest:
     params: dict[str, Any]
     timeout: "float | None" = None
     dep_results: "dict[str, Any] | None" = None
+    #: Called with each event ``fn`` reports through its ``progress``
+    #: keyword (passed only when this is set), all before the future
+    #: resolves.
+    progress: "Callable[[dict], None] | None" = None
 
 
 class ExecutorBackend:
@@ -75,8 +88,8 @@ class ExecutorBackend:
     accepts :class:`JobRequest` payloads and returns futures resolving
     to ``_execute_payload`` outcome tuples.  ``submit`` may raise when
     a request cannot cross the backend's boundary (unpicklable
-    callable, non-module-level function for ``tcp``); the runner
-    records that as a failed submission.
+    callable, non-module-level function or a progress callback for
+    ``tcp``); the runner records that as a failed submission.
     """
 
     name = "abstract"
@@ -149,33 +162,211 @@ def create_backend(name: str, workers: int, *,
 
 
 # ----------------------------------------------------------------------
-# local: the historical ProcessPoolExecutor
+# local: a ProcessPoolExecutor with a progress pipe
 # ----------------------------------------------------------------------
+#: Worker end of the local backend's event pipe, set in every worker
+#: process by the pool initializer.
+_EVENTS = None
+
+
+def _init_local_worker(events) -> None:
+    global _EVENTS
+    _EVENTS = events
+
+
+def _post(conn, message) -> None:
+    """Send one message down an event pipe in one atomic write (at most
+    ``PIPE_BUF`` bytes), so workers and the parent share the pipe with
+    no lock a killed worker could leave held.  A closed pipe means the
+    backend shut down and nobody listens any more."""
+    data = pickle.dumps(message)
+    if len(data) + 4 > select.PIPE_BUF:          # + the length header
+        raise ValueError(f"progress event of {len(data)} bytes exceeds "
+                         f"the {select.PIPE_BUF - 4}-byte pipe limit")
+    try:
+        conn.send_bytes(data)
+    except OSError:
+        pass
+
+
+def _run_local_job(token: int, fn, params, timeout, dep_results,
+                   stream: bool):
+    """Worker side of one local job: name the worker, then run it."""
+    from .executor import _execute_payload
+    _post(_EVENTS, (token, "pid", os.getpid()))
+    if stream:
+        params = dict(params, progress=lambda event: _post(
+            _EVENTS, (token, "event", event)))
+    return _execute_payload(fn, params, timeout, dep_results)
+
+
+@dataclass
+class _LocalJob:
+    """Parent-side state of one submitted local job."""
+
+    request: JobRequest
+    future: Future                   # the caller's
+    inner: "Future | None" = None    # the pool's, current attempt
+    pid: "int | None" = None         # worker of the current attempt
+    attempts: int = 0
+
+
 class LocalBackend(ExecutorBackend):
-    """One ``ProcessPoolExecutor``; behavior-identical to the
-    pre-backend runner."""
+    """A ``ProcessPoolExecutor`` with a progress pipe and pool recovery.
+
+    Every job first reports its worker's pid, then streams its
+    progress events, over one pipe shared by all workers.  A drain
+    thread in the parent reads the pipe and calls the progress
+    callbacks.  When the pool finishes a job, the parent appends a
+    settle message to the same pipe, behind everything the job wrote
+    before it returned; the drain thread resolves the caller's future
+    only when it reaches that message, so no event outlives its job.
+
+    A worker death breaks the whole pool: every job in it fails with
+    ``BrokenProcessPool``.  The job whose worker died keeps that
+    failure.  The others are resubmitted once to a fresh pool, like a
+    tcp lease that went silent; a job broken a second time fails.  A
+    broken pool is replaced before the next submit.  ``mp_context``
+    picks the start method (``None`` is the platform default).
+    """
 
     name = "local"
 
-    def __init__(self, workers: int, cache=None, log=None):
+    def __init__(self, workers: int, cache=None, log=None,
+                 mp_context=None):
         self.workers = workers
+        self.mp_context = mp_context
         self._pool: "ProcessPoolExecutor | None" = None
+        self._jobs: dict[int, _LocalJob] = {}
+        self._tokens = itertools.count()
+        self._lock = threading.Lock()
+        self._reader = self._writer = self._drainer = None
 
     def __enter__(self) -> "LocalBackend":
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        self._pool = self._new_pool()
+        self._drainer = threading.Thread(target=self._drain,
+                                         name="lab-local-events",
+                                         daemon=True)
+        self._drainer.start()
         return self
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=self.mp_context,
+            initializer=_init_local_worker, initargs=(self._writer,))
+        # Start every worker now.  Under a non-fork start method the
+        # pool spawns workers on demand, and its manager thread only
+        # watches a new worker for death after its next wake-up, which
+        # the first of these answers brings.
+        for _ in range(self.workers):
+            pool.submit(os.getpid)
+        return pool
+
     def submit(self, request: JobRequest) -> Future:
-        from .executor import _execute_payload
-        return self._pool.submit(
-            _execute_payload, request.fn, request.params,
-            request.timeout, request.dep_results)
+        token = next(self._tokens)
+        job = self._jobs[token] = _LocalJob(request, Future())
+        self._launch(token, job)
+        return job.future
+
+    def _launch(self, token: int, job: _LocalJob) -> None:
+        request = job.request
+        args = (_run_local_job, token, request.fn, request.params,
+                request.timeout, request.dep_results,
+                request.progress is not None)
+        job.pid = None                  # a rerun forgets the dead worker
+        with self._lock:
+            if self._pool is None:
+                raise RuntimeError("local backend is shut down")
+            try:
+                inner = self._pool.submit(*args)
+            except BrokenProcessPool:
+                self._pool.shutdown(wait=False)
+                self._pool = self._new_pool()
+                inner = self._pool.submit(*args)
+            # The pool's own worker table: shutdown() drops the pool's
+            # reference to it, but the manager thread keeps using it.
+            workers = self._pool._processes
+        job.inner = inner
+        job.attempts += 1
+        inner.add_done_callback(
+            functools.partial(self._pool_done, token, workers))
+
+    def _pool_done(self, token: int, workers: dict, inner: Future
+                   ) -> None:
+        if inner.cancelled():                  # shutdown cancels the job
+            return
+        dead = {}
+        if isinstance(inner.exception(), BrokenProcessPool):
+            # The pool's manager thread fails the futures before it
+            # terminates the surviving workers, so at this point only
+            # the workers that died on their own have exited.
+            procs = {proc.sentinel: (pid, proc)
+                     for pid, proc in list(workers.items())}
+            for sentinel in multiprocessing.connection.wait(procs, 0):
+                pid, proc = procs[sentinel]
+                proc.join(1.0)                  # exiting: reap it
+                dead[pid] = proc.exitcode
+        _post(self._writer, (token, "settle", dead))
+
+    def _drain(self) -> None:
+        while True:
+            try:
+                token, kind, value = self._reader.recv()
+            except (EOFError, OSError):
+                return
+            if token is None:                   # shutdown sentinel
+                return
+            job = self._jobs.get(token)
+            if job is None:
+                continue
+            if kind == "pid":
+                job.pid = value
+            elif kind == "event":
+                try:
+                    job.request.progress(value)
+                except Exception:
+                    traceback.print_exc()
+            else:
+                self._settle(token, job, value)
+
+    def _settle(self, token: int, job: _LocalJob,
+                dead: "dict[int, int]") -> None:
+        exc = job.inner.exception()
+        if isinstance(exc, BrokenProcessPool):
+            if job.pid in dead:
+                exc = BrokenProcessPool(
+                    f"worker {job.pid} died running {job.request.name!r}"
+                    f" (exit code {dead[job.pid]})")
+            elif job.attempts < 2:
+                try:
+                    self._launch(token, job)
+                    return
+                except Exception as error:
+                    exc = error
+        del self._jobs[token]
+        try:
+            if exc is not None:
+                job.future.set_exception(exc)
+            else:
+                job.future.set_result(job.inner.result())
+        except InvalidStateError:
+            pass                                # cancelled by shutdown
 
     def shutdown(self, cancel_futures: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel_futures,
-                                cancel_futures=cancel_futures)
-            self._pool = None
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        pool.shutdown(wait=not cancel_futures,
+                      cancel_futures=cancel_futures)
+        if cancel_futures:
+            for job in list(self._jobs.values()):
+                job.future.cancel()
+        _post(self._writer, (None, None, None))
+        self._drainer.join()
+        self._reader.close()
+        self._writer.close()
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +441,10 @@ class WorkqueueBackend(ExecutorBackend):
             request, future = item
             if not future.set_running_or_notify_cancel():
                 continue
-            outcome = _execute_payload(
-                request.fn, request.params, request.timeout,
-                request.dep_results)
+            params = request.params if request.progress is None \
+                else dict(request.params, progress=request.progress)
+            outcome = _execute_payload(request.fn, params,
+                                       request.timeout, request.dep_results)
             future.set_result(outcome)
 
     def shutdown(self, cancel_futures: bool = False) -> None:
@@ -340,8 +532,7 @@ class TcpBackend(ExecutorBackend):
     ``max_redispatch`` times — first completion wins — and beyond that
     resolves it as a structured error so the runner records ``failed``
     and the rest of the grid completes.  Dead spawned workers are
-    respawned (bounded by ``respawn_limit``) the way serve respawns
-    dead shards.
+    respawned (bounded by ``respawn_limit``).
     """
 
     name = "tcp"
@@ -419,6 +610,8 @@ class TcpBackend(ExecutorBackend):
             self.log(message)
 
     def submit(self, request: JobRequest) -> Future:
+        if request.progress is not None:
+            raise TypeError("tcp backend cannot stream progress events")
         ref = fn_reference(request.fn)       # raises on non-importable
         spec = {
             "name": request.name,

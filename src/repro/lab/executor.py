@@ -457,13 +457,7 @@ class LabRunner:
     def _run_backend(self, graph: JobGraph,
                      results: dict[str, JobResult],
                      backend: ExecutorBackend) -> None:
-        """Drive the graph on any :class:`ExecutorBackend`.
-
-        This is the historical process-pool scheduling loop with the
-        executor behind the :class:`ExecutorBackend` seam; with the
-        ``local`` backend it is move-for-move identical to the old
-        ``_run_pool``.
-        """
+        """Drive the graph on any :class:`ExecutorBackend`."""
         total = len(graph)
         pending = set(graph.names)
         running: dict[Future, tuple[str, int]] = {}

@@ -186,8 +186,8 @@ class ProofCache:
     def put(self, key: str, entry: dict) -> None:
         """Store an entry atomically (its digest is filled in here).
 
-        The temp name is unique per process *and* thread (warm serve
-        workers share one pid across shards in thread mode), and a
+        The temp name is unique per process *and* thread (thread-backend
+        workers share one pid), and a
         failed write never leaves the temp file behind — concurrent
         readers either see the old complete entry or the new one,
         never a torn JSON document.

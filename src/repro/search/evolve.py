@@ -11,6 +11,13 @@ children (elitism: the paper-flow baseline can only ever be improved
 upon, never lost, so the search result is always at least as good as
 the paper's checker).
 
+Candidates qualify by fault simulation on sampled vectors, so a mutant
+can break the one-sided contract on inputs the sample missed.  Before
+:func:`run_search` returns, the best candidate's checker is proved
+exactly, PO by PO (:func:`~repro.search.tasks.first_sound_task`); a
+refuted one is passed over for the next ranked candidate that proves,
+and the baseline, sound by construction, is the last resort.
+
 Determinism and resumability come from the lab's own machinery: child
 ``i`` of generation ``g`` mutates with the derived seed
 ``derive_seed(seed, "g{g}/c{i}")``, candidate evaluations are
@@ -24,6 +31,7 @@ continues where it stopped.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -36,7 +44,7 @@ from repro.lab import ArtifactStore, Job, JobGraph, LabRunner, derive_seed
 from repro.network import parse_blif, write_blif
 
 from .mutate import mutate_network
-from .tasks import baseline_task, evaluate_candidate_task
+from .tasks import baseline_task, evaluate_candidate_task, first_sound_task
 
 __all__ = ["SearchConfig", "SearchResult", "Candidate", "run_search"]
 
@@ -107,6 +115,8 @@ class SearchResult:
     wall_time_s: float
     history: list[dict[str, Any]] = field(default_factory=list)
     state_path: "Path | None" = None
+    #: Origins of better-ranked candidates the exact check refuted.
+    unsound: list[str] = field(default_factory=list)
 
     @property
     def improved(self) -> bool:
@@ -121,6 +131,7 @@ class SearchResult:
             "best": self.best.record(),
             "best_origin": self.best.origin,
             "improved": self.improved,
+            "unsound": list(self.unsound),
             "wall_time_s": round(self.wall_time_s, 3),
         }
 
@@ -140,6 +151,32 @@ def _fitness(candidate: Candidate, baseline_area: int, slack: int
                  and candidate.golden_invalid == 0
                  and candidate.area <= baseline_area + slack)
     return (1 if qualified else 0, candidate.coverage, -candidate.area)
+
+
+def _verified_best(population: list[Candidate], baseline: Candidate,
+                   config: SearchConfig, directions: dict[str, int],
+                   log) -> tuple[Candidate, list[str]]:
+    """The best-ranked candidate whose checker proves sound on every PO,
+    and the origins of the better-ranked ones that did not.
+
+    The proofs run as one lab job, in a worker like the evaluations, so
+    the pair BDDs never grow the search process.  The job writes no
+    manifest: it is not part of a generation grid.
+    """
+    ranked = list(itertools.takewhile(
+        lambda candidate: candidate.origin != "baseline", population))
+    first = 0
+    if ranked:
+        runner = _runner(config, log)
+        runner.results_dir = None
+        first = runner.run(JobGraph([Job(
+            name="verify", fn=first_sound_task,
+            params={"circuit": config.circuit, "table": config.table,
+                    "blifs": [c.blif for c in ranked],
+                    "directions": directions})], root_seed=config.seed)
+        ).value("verify")
+    best = ranked[first] if first < len(ranked) else baseline
+    return best, [c.origin for c in ranked[:first]]
 
 
 def _state_path(config: SearchConfig) -> Path:
@@ -287,8 +324,15 @@ def run_search(config: SearchConfig, *, log=None) -> SearchResult:
         }
         _save_state(state_path, state)
 
+    best, unsound = _verified_best(population, baseline, config,
+                                   directions, log)
+    if unsound:
+        history.append({"generation": generation, "best": best.record(),
+                        "origin": best.origin, "unsound": unsound})
+        emit(f"[search] exact check refuted {', '.join(unsound)}; "
+             f"best is {best.origin}")
     return SearchResult(
-        config=config, best=population[0], baseline=baseline,
+        config=config, best=best, baseline=baseline,
         generations_run=generation,
         wall_time_s=time.perf_counter() - start,
-        history=history, state_path=state_path)
+        history=history, state_path=state_path, unsound=unsound)

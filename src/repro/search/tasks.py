@@ -15,7 +15,7 @@ from repro.lab.tasks import load_circuit
 from repro.network import parse_blif, write_blif
 from repro.synth import quick_map
 
-__all__ = ["baseline_task", "evaluate_candidate_task"]
+__all__ = ["baseline_task", "evaluate_candidate_task", "first_sound_task"]
 
 
 def baseline_task(circuit: str, table: int = 2, words: int = 4,
@@ -67,3 +67,21 @@ def evaluate_candidate_task(circuit: str, blif: str,
         "false_alarms": int(result.false_alarms),
         "golden_invalid": int(result.golden_invalid),
     }
+
+
+def first_sound_task(circuit: str, blifs: list[str],
+                     directions: dict[str, int],
+                     table: int = 2) -> int:
+    """Index of the first checker in ``blifs`` whose one-sided contract
+    proves exactly on every PO (``len(blifs)`` when none does).
+
+    Evaluation samples vectors, so a mutant can break the contract on
+    inputs the sample missed."""
+    from repro.lint.semantics import PairSemantics
+    net = load_circuit(circuit, table)
+    for index, blif in enumerate(blifs):
+        pair = PairSemantics(net, parse_blif(blif))
+        if all(pair.implication(po, int(direction)).holds is True
+               for po, direction in directions.items()):
+            return index
+    return len(blifs)

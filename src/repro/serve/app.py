@@ -2,8 +2,10 @@
 
 One :class:`CedService` owns the listening socket, the job registry,
 the admission controller (bounded queue + per-tenant token buckets),
-per-shard priority queues with one dispatcher task each, and the
-:class:`~repro.serve.pool.WorkerPool` of warm workers.  The HTTP API:
+one priority queue feeding ``workers`` dispatcher tasks, and the lab
+execution backend (:mod:`repro.lab.backends`) the dispatchers run each
+job on: ``local`` worker processes or ``workqueue`` threads.  The HTTP
+API:
 
 ==========================  =========================================
 ``POST   /v1/jobs``         submit a circuit (JSON envelope or raw
@@ -32,24 +34,25 @@ the workers down, then release :attr:`CedService.stopped`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import json
+import multiprocessing
 import time
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jobs import JobRegistry, ServeJob
-from .pool import BACKENDS, DEFAULT_CTX_LIMIT, WorkerPool
+from repro.lab.backends import JobRequest, LocalBackend, WorkqueueBackend
+
+from .jobs import JobRegistry, ServeJob, run_flow_request
 from .protocol import (HttpError, HttpRequest, end_chunked,
                        error_response, json_response, read_request,
                        start_chunked, write_chunk)
 from .quota import AdmissionController
 
 __all__ = ["ServeConfig", "CedService"]
-
-#: Sentinel closing a shard's dispatcher queue.
-_CLOSE = (float("inf"), -1, None)
 
 
 @dataclass
@@ -59,7 +62,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     workers: int = 2
-    backend: str = "process"            # process | thread
+    backend: str = "process"   # process: lab local | thread: workqueue
     state_dir: str = ".serve_cache"
     #: Bound on jobs admitted but not yet running (backpressure).
     max_queue: int = 16
@@ -76,10 +79,9 @@ class ServeConfig:
     budget_bdd_nodes: int | None = None
     budget_sat_conflicts: int | None = None
     budget_repair_rounds: int | None = None
-    ctx_limit: int = DEFAULT_CTX_LIMIT
 
     def __post_init__(self):
-        if self.backend not in BACKENDS:
+        if self.backend not in ("process", "thread"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -99,11 +101,9 @@ class CedService:
             capacity=self.config.max_queue,
             tenant_rate=self.config.tenant_rate,
             tenant_burst=self.config.tenant_burst)
-        self.pool = WorkerPool(
-            self.config.workers, self.config.state_dir,
-            on_event=self._event_from_worker,
-            backend=self.config.backend,
-            ctx_limit=self.config.ctx_limit)
+        self.backend = None
+        #: ``process`` or ``thread``: what the service actually runs on.
+        self.backend_kind = self.config.backend
         self.counters = {
             "submitted": 0, "accepted": 0, "completed": 0,
             "failed": 0, "cancelled": 0,
@@ -127,7 +127,7 @@ class CedService:
         self._seq = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
-        self._shard_queues: list[asyncio.PriorityQueue] = []
+        self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._dispatchers: list[asyncio.Task] = []
         self._drain_task: asyncio.Task | None = None
 
@@ -144,22 +144,35 @@ class CedService:
         if self.log is not None:
             self.log(message)
 
+    def _open_backend(self) -> None:
+        workers = self.config.workers
+        if self.backend_kind == "process":
+            # Spawned, not forked: a forked child would inherit the
+            # event loop's signal wakeup fd and the locks of this
+            # process's other threads.
+            try:
+                self.backend = LocalBackend(
+                    workers, mp_context=multiprocessing.get_context(
+                        "spawn")).__enter__()
+                return
+            except (ImportError, OSError) as exc:
+                # No multiprocessing primitives here (common in
+                # sandboxes): fall back to worker threads.
+                self._emit(f"[serve] backend fell back to 'thread' ({exc})")
+                self.backend_kind = "thread"
+        self.backend = WorkqueueBackend(workers).__enter__()
+
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self.started_at = time.monotonic()
-        backend = self.pool.start()
-        if backend != self.config.backend:
-            self._emit(f"[serve] backend fell back to {backend!r}")
-        self._shard_queues = [asyncio.PriorityQueue()
-                              for _ in self.pool.shards]
-        self._dispatchers = [
-            asyncio.ensure_future(self._dispatch(i))
-            for i in range(len(self._shard_queues))]
+        self._open_backend()
+        self._dispatchers = [asyncio.ensure_future(self._dispatch())
+                             for _ in range(self.config.workers)]
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port)
         self._emit(f"[serve] listening on {self.config.host}:"
-                   f"{self.port} ({len(self.pool.shards)} "
-                   f"{backend} workers, queue bound "
+                   f"{self.port} ({self.config.workers} "
+                   f"{self.backend_kind} workers, queue bound "
                    f"{self.config.max_queue})")
 
     def request_drain(self) -> None:
@@ -190,12 +203,12 @@ class CedService:
             if job.state == "queued":
                 self._finish_job(job, "cancelled",
                                  reason="drain timeout")
-        for queue in self._shard_queues:
-            queue.put_nowait(_CLOSE)
+        for _ in self._dispatchers:
+            self._queue.put_nowait((float("inf"), next(self._seq), None))
         await asyncio.gather(*self._dispatchers,
                              return_exceptions=True)
         await asyncio.get_running_loop().run_in_executor(
-            None, self.pool.close)
+            None, self.backend.shutdown)
         if self._server is not None:
             self._server.close()
             with suppress(Exception):
@@ -247,45 +260,42 @@ class CedService:
     def _enqueue(self, job: ServeJob) -> None:
         self.queued += 1
         self.queue_depth_max = max(self.queue_depth_max, self.queued)
-        self._shard_queues[job.shard].put_nowait(
-            (job.priority, next(self._seq), job))
+        self._queue.put_nowait((job.priority, next(self._seq), job))
 
-    async def _dispatch(self, shard: int) -> None:
-        """One-at-a-time feeder of this shard's worker."""
-        queue = self._shard_queues[shard]
+    async def _dispatch(self) -> None:
+        """One of ``workers`` feeders: one job at a time on the backend."""
         while True:
-            item = await queue.get()
-            if item[2] is None:
+            _, _, job = await self._queue.get()
+            if job is None:
                 break
-            job: ServeJob = item[2]
             self.queued -= 1
             if job.terminal:             # cancelled while queued
                 continue
             self.in_flight += 1
-            job.add_event("dispatch", shard=shard)
-            self.pool.submit(shard, {"job_id": job.job_id,
-                                     "blif": job.blif,
-                                     "params": job.params})
-            await self._await_job(job, shard)
+            job.add_event("dispatch")
+            try:
+                outcome = await self._run(job)
+            finally:
+                self.in_flight -= 1
+            self._complete(job, outcome)
 
-    async def _await_job(self, job: ServeJob, shard: int) -> None:
-        waiter = asyncio.ensure_future(job.finished.wait())
+    async def _run(self, job: ServeJob) -> dict:
+        """The job's terminal document, as the backend returns it."""
         try:
-            while True:
-                done, _ = await asyncio.wait({waiter}, timeout=0.5)
-                if done:
-                    return
-                if not self.pool.alive(shard):
-                    self._finish_job(
-                        job, "failed",
-                        error="worker process died mid-job",
-                        error_type="WorkerDied")
-                    self.pool.respawn(shard)
-                    return
-        finally:
-            waiter.cancel()
-            with suppress(asyncio.CancelledError):
-                await waiter
+            future = self.backend.submit(JobRequest(
+                name=job.job_id, fn=run_flow_request,
+                params={"job_id": job.job_id, "blif": job.blif,
+                        "params": job.params,
+                        "state_dir": self.config.state_dir},
+                progress=functools.partial(self._progress_from_worker,
+                                           job)))
+            status, value, _, _ = await asyncio.wrap_future(future)
+        except BrokenProcessPool:
+            status, value = "WorkerDied", "worker process died mid-job"
+        except Exception as exc:
+            status, value = type(exc).__name__, str(exc)
+        return value if status == "ok" else {
+            "kind": "failed", "error": str(value), "error_type": status}
 
     def _finish_job(self, job: ServeJob, state: str, **payload) -> None:
         if job.terminal:
@@ -299,56 +309,43 @@ class CedService:
         job.transition(state, **payload)
         self.registry.note_finished(job)
 
-    # -- worker events (arrive on the drain thread) ----------------------
-    def _event_from_worker(self, event: dict) -> None:
-        if self._loop is None or self._loop.is_closed():
+    def _complete(self, job: ServeJob, doc: dict) -> None:
+        if doc.get("kind") != "done":
+            self._finish_job(job, "failed", **{
+                k: doc[k] for k in ("error", "error_type", "detail")
+                if k in doc})
             return
-        self._loop.call_soon_threadsafe(self._on_event, event)
+        job.result = doc.get("result")
+        job.stats = {k: doc[k]
+                     for k in ("flow_seconds", "cache_totals",
+                               "resumed_passes", "warm") if k in doc}
+        self.counters["completed"] += 1
+        self.counters["warm_done" if doc.get("warm")
+                      else "cold_done"] += 1
+        totals = doc.get("cache_totals") or {}
+        for kind, prefix in (("static", "po"), ("static_node", "node")):
+            counts = totals.get(kind) or {}
+            hits = int(counts.get("hits", 0))
+            misses = int(counts.get("misses", 0))
+            self.static_totals[f"{prefix}_discharged"] += hits
+            self.static_totals[f"{prefix}_attempts"] += hits + misses
+        job.transition("done", warm=bool(doc.get("warm")),
+                       flow_seconds=doc.get("flow_seconds"))
+        self.registry.note_finished(job)
 
-    def _on_event(self, event: dict) -> None:
-        kind = event.get("kind")
-        if kind == "worker_exit":
+    # -- progress (arrives on a worker or backend thread) ----------------
+    def _progress_from_worker(self, job: ServeJob, event: dict) -> None:
+        self._loop.call_soon_threadsafe(self._on_progress, job, event)
+
+    def _on_progress(self, job: ServeJob, event: dict) -> None:
+        if job.terminal:
             return
-        job = self.registry.get(event.get("job_id", ""))
-        if job is None or job.terminal:
-            return
-        if kind == "started":
-            job.transition("running", shard=event.get("shard"))
-        elif kind == "pass":
+        if event.get("kind") == "started":
+            job.transition("running", pid=event.get("pid"))
+        elif event.get("kind") == "pass":
             job.add_event("pass", **{
                 k: event[k] for k in ("pass", "status", "wall_time_s",
                                       "cache") if k in event})
-        elif kind == "done":
-            self.in_flight -= 1
-            job.result = event.get("result")
-            job.stats = {k: event[k]
-                         for k in ("flow_seconds", "cache_totals",
-                                   "resumed_passes", "warm")
-                         if k in event}
-            self.counters["completed"] += 1
-            self.counters["warm_done" if event.get("warm")
-                          else "cold_done"] += 1
-            totals = event.get("cache_totals") or {}
-            for kind, prefix in (("static", "po"),
-                                 ("static_node", "node")):
-                counts = totals.get(kind) or {}
-                hits = int(counts.get("hits", 0))
-                misses = int(counts.get("misses", 0))
-                self.static_totals[f"{prefix}_discharged"] += hits
-                self.static_totals[f"{prefix}_attempts"] += \
-                    hits + misses
-            job.transition("done", warm=bool(event.get("warm")),
-                           flow_seconds=event.get("flow_seconds"))
-            self.registry.note_finished(job)
-        elif kind == "failed":
-            self.in_flight -= 1
-            detail = {}
-            if isinstance(event.get("detail"), dict):
-                detail["detail"] = event["detail"]
-            self._finish_job(job, "failed",
-                             error=event.get("error"),
-                             error_type=event.get("error_type"),
-                             **detail)
 
     # ------------------------------------------------------------------
     # HTTP
@@ -573,14 +570,12 @@ class CedService:
                 queued=self.queued, capacity=self.admission.capacity)
             return
 
-        shard = self.pool.shard_of(blif)
         job = self.registry.create(tenant=tenant, priority=priority,
-                                   blif=blif, params=params,
-                                   shard=shard)
+                                   blif=blif, params=params)
         self.counters["accepted"] += 1
         self._enqueue(job)
         json_response(writer, 202, {
-            "job_id": job.job_id, "state": job.state, "shard": shard,
+            "job_id": job.job_id, "state": job.state,
             "tenant": tenant, "priority": priority,
             "links": {
                 "self": f"/v1/jobs/{job.job_id}",
@@ -647,8 +642,8 @@ class CedService:
             "status": "draining" if self.draining else "ok",
             "queue_depth": self.queued,
             "in_flight": self.in_flight,
-            "workers": len(self.pool.shards),
-            "backend": self.pool.backend,
+            "workers": self.config.workers,
+            "backend": self.backend_kind,
         }
 
     def _stats_doc(self) -> dict:
@@ -659,8 +654,8 @@ class CedService:
         return {
             "uptime_s": round(uptime, 3),
             "status": "draining" if self.draining else "ok",
-            "workers": len(self.pool.shards),
-            "backend": self.pool.backend,
+            "workers": self.config.workers,
+            "backend": self.backend_kind,
             "queue": {"depth": self.queued,
                       "max_depth": self.queue_depth_max,
                       "capacity": self.admission.capacity,

@@ -71,3 +71,10 @@ def kill_worker() -> None:
 def tiny_flow(words: int = 1, seed: int = 2008) -> dict:
     from repro.lab.tasks import ced_flow_task
     return ced_flow_task("tiny", words=words, seed=seed)
+
+
+def chatty(count: int, progress=None) -> int:
+    """Reports ``count`` progress events, then returns ``count``."""
+    for index in range(count):
+        progress({"index": index})
+    return count

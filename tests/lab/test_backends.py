@@ -8,18 +8,23 @@ tcp-specific resilience properties (worker death -> structured
 ``failed``, grid completes).
 """
 
+import multiprocessing
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.guard.chaos import broken_pool_victim
 from repro.lab import (BACKEND_ENV, ArtifactStore, Job, JobGraph,
                        LabRunner, load_manifest, merge_manifests,
                        resolve_backend, validate_manifest)
+from repro.lab.backends import (JobRequest, LocalBackend, TcpBackend,
+                                WorkqueueBackend)
 from repro.approx import ConfigError
 
-from .helpers import (add_seeded, always_fail, combine, kill_worker,
-                      spin, square)
+from .helpers import (add_seeded, always_fail, chatty, combine,
+                      kill_worker, spin, square)
 
 BACKENDS = ("local", "tcp", "workqueue")
 
@@ -135,6 +140,76 @@ class TestTcpResilience:
         assert run.results["lambda"].status == "failed"
         assert "submit failed" in run.results["lambda"].error
         assert run.results["fine"].status == "ok"
+
+
+class TestLocalRecovery:
+    def test_next_submit_after_worker_death_is_served(self):
+        with LocalBackend(2) as backend:
+            victim = backend.submit(JobRequest(
+                "bomb", broken_pool_victim, {"exit_code": 13}))
+            with pytest.raises(BrokenProcessPool, match="exit code 13"):
+                victim.result(timeout=60)
+            after = backend.submit(JobRequest("sq", square, {"x": 7}))
+            assert after.result(timeout=60)[:2] == ("ok", 49)
+
+    def test_bystander_is_resubmitted_once(self):
+        with LocalBackend(2) as backend:
+            bystander = backend.submit(JobRequest(
+                "spin", spin, {"seconds": 1.5}))
+            time.sleep(0.3)
+            victim = backend.submit(JobRequest(
+                "bomb", broken_pool_victim, {"exit_code": 13}))
+            with pytest.raises(BrokenProcessPool, match="'bomb'"):
+                victim.result(timeout=60)
+            assert bystander.result(timeout=60)[:2] == ("ok", "spun")
+
+    def test_job_broken_twice_fails(self):
+        with LocalBackend(2) as backend:
+            bystander = backend.submit(JobRequest(
+                "spin", spin, {"seconds": 3.0}))
+            for _ in range(2):
+                time.sleep(0.3)
+                victim = backend.submit(JobRequest(
+                    "bomb", broken_pool_victim, {"exit_code": 13}))
+                with pytest.raises(BrokenProcessPool):
+                    victim.result(timeout=60)
+            with pytest.raises(BrokenProcessPool):
+                bystander.result(timeout=60)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LocalBackend(4),
+    lambda: LocalBackend(
+        4, mp_context=multiprocessing.get_context("spawn")),
+    lambda: WorkqueueBackend(4),
+], ids=["local-fork", "local-spawn", "workqueue"])
+def test_progress_delivered_before_future_resolves(make):
+    seen: dict[str, list] = {}
+    at_resolution: dict[str, int] = {}
+    with make() as backend:
+        futures = []
+        for i in range(12):
+            name = f"chatty-{i}"
+            seen[name] = []
+            future = backend.submit(JobRequest(
+                name, chatty, {"count": 20},
+                progress=seen[name].append))
+            future.add_done_callback(
+                lambda _, name=name: at_resolution.__setitem__(
+                    name, len(seen[name])))
+            futures.append(future)
+        assert [f.result(timeout=60)[:2] for f in futures] == \
+            [("ok", 20)] * 12
+    assert at_resolution == {name: 20 for name in seen}
+    for events in seen.values():
+        assert events == [{"index": i} for i in range(20)]
+
+
+def test_tcp_rejects_progress_callbacks(tmp_path):
+    backend = TcpBackend(1, cache=ArtifactStore(tmp_path / "store"))
+    with pytest.raises(TypeError, match="progress"):
+        backend.submit(JobRequest("sq", square, {"x": 2},
+                                  progress=print))
 
 
 class TestMergeManifests:

@@ -1,7 +1,9 @@
 """Evolutionary search: determinism, elitism, resume, budget, CLI."""
 
 import json
+from dataclasses import asdict
 
+from repro.lab.tasks import load_circuit
 from repro.search import Candidate, SearchConfig, run_search
 from repro.search.evolve import _fitness, _state_path
 
@@ -112,6 +114,29 @@ class TestRunSearch:
         # State survives, so a budgetless rerun picks up the search.
         resumed = run_search(config_for(tmp_path))
         assert resumed.generations_run == 2
+
+    def test_unsound_best_is_not_returned(self, tmp_path):
+        config = config_for(tmp_path, generations=0)
+        run_search(config)
+        path = _state_path(config)
+        state = json.loads(path.read_text())
+        # Constant checkers: 1 for a 1-approximation and 0 for a
+        # 0-approximation break the contract wherever F differs.
+        net = load_circuit("tiny", 2)
+        lines = [".model planted", ".inputs " + " ".join(net.inputs),
+                 ".outputs " + " ".join(net.outputs)]
+        for po in net.outputs:
+            lines += [f".names {po}"] + \
+                (["1"] if state["directions"][po] == 1 else [])
+        planted = Candidate(blif="\n".join(lines + [".end"]) + "\n",
+                            origin="planted", area=1, coverage=100.0)
+        state["population"] = [asdict(planted), state["baseline"]]
+        path.write_text(json.dumps(state))
+        result = run_search(config)
+        assert result.best.origin == "baseline"
+        assert result.unsound == ["planted"]
+        assert result.history[-1]["unsound"] == ["planted"]
+        assert result.summary()["unsound"] == ["planted"]
 
     def test_digest_ignores_execution_knobs(self, tmp_path):
         a = config_for(tmp_path, workers="serial")

@@ -5,7 +5,7 @@ from repro.serve.jobs import JobRegistry, ServeJob
 
 def make_job(job_id="j1", **kwargs):
     defaults = dict(job_id=job_id, tenant="t", priority=10,
-                    blif=".model m", params={}, shard=0)
+                    blif=".model m", params={})
     defaults.update(kwargs)
     return ServeJob(**defaults)
 
@@ -21,7 +21,6 @@ class TestServeJob:
         seqs = [e["seq"] for e in job.events]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
         assert job.terminal
-        assert job.finished.is_set()
         assert job.wall_time_s() is not None
 
     def test_terminal_states_are_final(self):
@@ -49,9 +48,9 @@ class TestJobRegistry:
     def test_ids_are_unique_and_content_tagged(self):
         registry = JobRegistry()
         a = registry.create(tenant="t", priority=1, blif="x",
-                            params={}, shard=0)
+                            params={})
         b = registry.create(tenant="t", priority=1, blif="x",
-                            params={}, shard=0)
+                            params={})
         assert a.job_id != b.job_id
         assert a.job_id.split("-")[1] == b.job_id.split("-")[1]
         assert registry.get(a.job_id) is a
@@ -59,7 +58,7 @@ class TestJobRegistry:
     def test_initial_event_present(self):
         registry = JobRegistry()
         job = registry.create(tenant="t", priority=1, blif="x",
-                              params={}, shard=0)
+                              params={})
         assert job.events[0]["kind"] == "state"
         assert job.events[0]["state"] == "queued"
 
@@ -68,7 +67,7 @@ class TestJobRegistry:
         jobs = []
         for i in range(4):
             job = registry.create(tenant="t", priority=1,
-                                  blif=str(i), params={}, shard=0)
+                                  blif=str(i), params={})
             job.transition("done")
             registry.note_finished(job)
             jobs.append(job)
@@ -80,9 +79,9 @@ class TestJobRegistry:
     def test_counts_and_recent(self):
         registry = JobRegistry()
         first = registry.create(tenant="t", priority=1, blif="a",
-                                params={}, shard=0)
+                                params={})
         second = registry.create(tenant="t", priority=1, blif="b",
-                                 params={}, shard=0)
+                                 params={})
         second.submitted_at = first.submitted_at + 1
         first.transition("done")
         counts = registry.counts()

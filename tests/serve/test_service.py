@@ -1,14 +1,18 @@
 """End-to-end tests of the serve application over real sockets.
 
 The service runs in a background thread with its own event loop, on
-port 0, with the ``thread`` worker backend (no multiprocessing inside
-pytest) and a per-test state directory.  The client is the real
-:class:`repro.serve.ServeClient` over :mod:`http.client`, so the whole
-wire format is exercised.
+port 0, with a per-test state directory.  Most tests use the
+``thread`` worker backend; ``TestProcessBackend`` covers what only
+worker processes do: progress crossing a process boundary and worker
+deaths.  The client is the real :class:`repro.serve.ServeClient` over
+:mod:`http.client`, so the whole wire format is exercised.
 """
 
 import asyncio
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -90,8 +94,6 @@ class TestSubmitAndResult:
         assert second["stats"]["resumed_passes"] > 0
         assert first["result"]["summary"] == \
             second["result"]["summary"]
-        # Same content routes to the same warm shard.
-        assert first["shard"] == second["shard"]
 
     def test_result_endpoint_before_completion_conflicts(self, service):
         _, client = service
@@ -256,3 +258,102 @@ class TestCancelAndDrain:
         assert stats["queue"]["capacity"] == 8
         assert "proof_cache" in stats
         assert stats["registry"]["done"] == 1
+
+
+class TestProcessBackend:
+    """Spawned worker processes on the lab's ``local`` backend."""
+
+    @staticmethod
+    def start(tmp_path):
+        handle = ServiceThread(ServeConfig(
+            port=0, workers=2, backend="process",
+            state_dir=str(tmp_path / "state"), default_words=1,
+            max_queue=16, tenant_rate=1000.0, tenant_burst=1000.0))
+        return handle, handle.start()
+
+    @staticmethod
+    def running_pid(handle, job_id, runs=1, timeout=120.0):
+        """The worker pid of the job's ``runs``-th start."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            job = handle.service.registry.get(job_id)
+            starts = [e for e in list(job.events)
+                      if e["kind"] == "state" and e["state"] == "running"]
+            if len(starts) >= runs:
+                return starts[runs - 1]["pid"]
+            assert not job.terminal, f"{job_id} ended {job.state}"
+            time.sleep(0.01)
+        raise AssertionError(f"{job_id} never started")
+
+    def test_events_in_pipeline_order_before_terminal(self, tmp_path,
+                                                      monkeypatch):
+        # Slow progress delivery down: a job whose result overtook its
+        # events would turn terminal first and lose its last passes.
+        forward = CedService._progress_from_worker
+
+        def slow_forward(self, job, event):
+            time.sleep(0.02)
+            forward(self, job, event)
+
+        monkeypatch.setattr(CedService, "_progress_from_worker",
+                            slow_forward)
+        pipeline = [rec.name for rec in run_ced_flow(
+            load_circuit("tiny", 2), reliability_words=1,
+            coverage_words=1).trace.passes]
+        assert len(pipeline) == 7
+        handle, client = self.start(tmp_path)
+        try:
+            accepted = [client.submit(TINY, words=1, seed=seed)
+                        for seed in range(8)]
+            for doc in accepted:
+                events = list(client.events(doc["job_id"]))
+                kinds = [(e["kind"], e["pass"] if e["kind"] == "pass"
+                          else e["state"]) for e in events]
+                assert kinds == ([("state", "queued"),
+                                  ("dispatch", "queued"),
+                                  ("state", "running")]
+                                 + [("pass", name) for name in pipeline]
+                                 + [("state", "done")]), kinds
+        finally:
+            handle.stop()
+
+    def test_worker_death_fails_job_and_requeues_bystander(self,
+                                                           tmp_path):
+        handle, client = self.start(tmp_path)
+        try:
+            victim = client.submit(write_blif(load_circuit("x1", 2)))
+            bystander = client.submit(write_blif(load_circuit("i2", 2)),
+                                      words=4)
+            pid = self.running_pid(handle, victim["job_id"])
+            self.running_pid(handle, bystander["job_id"])
+            os.kill(pid, signal.SIGKILL)
+            dead = client.wait(victim["job_id"], timeout=120)
+            assert dead["state"] == "failed"
+            assert dead["error_type"] == "WorkerDied"
+            assert self.running_pid(handle, bystander["job_id"], runs=2)
+            assert client.wait(bystander["job_id"],
+                               timeout=120)["state"] == "done"
+            assert client.run(TINY, words=1)["state"] == "done"
+            assert client.stats()["counters"]["failed"] == 1
+        finally:
+            handle.stop()
+
+    def test_job_broken_twice_fails(self, tmp_path):
+        handle, client = self.start(tmp_path)
+        x1 = write_blif(load_circuit("x1", 2))
+        try:
+            bystander = client.submit(write_blif(load_circuit("i2", 2)),
+                                      words=4)
+            for run in (1, 2):
+                victim = client.submit(x1, seed=run)
+                os.kill(self.running_pid(handle, victim["job_id"]),
+                        signal.SIGKILL)
+                assert client.wait(victim["job_id"],
+                                   timeout=120)["error_type"] \
+                    == "WorkerDied"
+            state = client.wait(bystander["job_id"], timeout=120)
+            assert state["state"] == "failed"
+            assert state["error_type"] == "WorkerDied"
+            assert client.run(TINY, words=1)["state"] == "done"
+        finally:
+            handle.stop()
